@@ -290,15 +290,17 @@ BM_Session256Beats_TraceProbeOff(benchmark::State &state)
 BENCHMARK(BM_Session256Beats_TraceProbeOff);
 
 /** Every category on (including the per-beat firehose), unbounded
- *  shards; beginServe resets the shard per run to bound memory. */
+ *  shards; beginServe resets the shard per run to bound memory. Each
+ *  iteration registers its fresh probe on a fresh session, so every
+ *  run dispatches to exactly one observer. */
 static void
 BM_Session256Beats_TraceProbeAll(benchmark::State &state)
 {
     SessionFixture f;
-    core::Session session(f.app, f.table, f.model);
     obs::TraceSink sink;
     for (auto _ : state) {
         sink.beginServe(1);
+        core::Session session(f.app, f.table, f.model);
         obs::TraceProbe probe(sink, obs::TraceProbe::Identity{0});
         session.observe(probe);
         sim::Machine machine;

@@ -45,7 +45,10 @@ class App
      * shares no mutable state with the original. Because apps are
      * deterministic, a fixed run on a clone must be bit-identical to
      * the same run on the original — parallel calibration relies on
-     * this to hand every worker thread a private instance.
+     * this to hand every worker thread a private instance. The fleet
+     * server clones its shared app from several worker threads at
+     * once, so clone() must be safe to call concurrently on a const
+     * instance (a copy-constructing clone is).
      */
     virtual std::unique_ptr<App> clone() const = 0;
 

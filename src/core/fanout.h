@@ -6,10 +6,11 @@
  * that pooled output is bit-identical to serial output at any thread
  * count:
  *
- *   1. clones are created *serially* (App::clone() of a shared
- *      instance is not required to be thread-safe), each with a
+ *   1. clones are created *serially*, each with a
  *      rebindKnobTable()-copied knob table when a session will run
- *      on it;
+ *      on it (the fleet server's tenants are the exception: each
+ *      clones on the worker that runs its first slice, which
+ *      App::clone()'s concurrency contract allows);
  *   2. dispatch is `threads == 1 ? serial loop :
  *      ThreadPool(min(threads, tasks))`, with threads == 0 meaning
  *      all hardware contexts;

@@ -139,6 +139,10 @@ Session::Session(App &app, const KnobTable &table,
 void
 Session::observe(RunObserver &observer)
 {
+    if (std::find(observers_.begin(), observers_.end(), &observer) !=
+        observers_.end())
+        throw std::invalid_argument(
+            "Session: observer registered twice");
     observers_.push_back(&observer);
 }
 
@@ -148,8 +152,8 @@ Session::observe(std::unique_ptr<RunObserver> observer)
     if (observer == nullptr)
         throw std::invalid_argument("Session: null observer");
     RunObserver &ref = *observer;
+    observe(ref);
     owned_observers_.push_back(std::move(observer));
-    observers_.push_back(&ref);
     return ref;
 }
 

@@ -179,7 +179,11 @@ class Session
     Session(App &app, const KnobTable &table, const ResponseModel &model,
             SessionOptions options = {});
 
-    /** Register a borrowed observer (must outlive the session). */
+    /**
+     * Register a borrowed observer (must outlive the session). Each
+     * observer receives every event once: registering one already
+     * registered throws std::invalid_argument.
+     */
     void observe(RunObserver &observer);
 
     /** Register an owned observer; returns a reference to it. */

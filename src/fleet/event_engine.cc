@@ -54,8 +54,8 @@ class EventServe
                const ServerOptions &options,
                const std::vector<std::vector<workload::OfferedJob>>
                    &offers)
-        : app_(app), table_(table), model_(model), options_(options),
-          offers_(offers),
+        : model_(model), options_(options),
+          source_{app, table, model, options}, offers_(offers),
           cluster_(detail::makeCluster(options)),
           scheduler_(cluster_,
                      SchedulerOptions{options.placement,
@@ -63,7 +63,9 @@ class EventServe
                                       options.admission, &model}),
           arbiter_(options.arbiter), engine_(options.threads),
           hub_(engine_.workers()), tracer_(options.trace),
-          qos_feedback_(cluster_.size(), 0.0)
+          qos_feedback_(cluster_.size(), 0.0),
+          machine_qos_(cluster_.size(), 0.0),
+          machine_jobs_(cluster_.size(), 0)
     {
         epoch_s_ = options_.epoch_seconds > 0.0
             ? options_.epoch_seconds
@@ -189,8 +191,6 @@ class EventServe
     void
     sampleCompat()
     {
-        std::vector<double> machine_qos(cluster_.size(), 0.0);
-        std::vector<std::size_t> machine_jobs(cluster_.size(), 0);
         double qos_sum = 0.0;
         std::size_t finished = 0;
         for (const auto &tenant : active_) {
@@ -201,16 +201,12 @@ class EventServe
             tenant->beats_reported = beats;
             if (tenant->done) {
                 const JobRecord &record = tenant->probe->record();
-                machine_qos[tenant->machine_index] += record.qos_loss;
-                ++machine_jobs[tenant->machine_index];
+                noteFinished(tenant->machine_index, record.qos_loss);
                 qos_sum += record.qos_loss;
                 ++finished;
             }
         }
-        for (std::size_t m = 0; m < cluster_.size(); ++m)
-            if (machine_jobs[m] > 0)
-                qos_feedback_[m] = machine_qos[m] /
-                    static_cast<double>(machine_jobs[m]);
+        publishFeedback();
 
         pending_.active = cluster_.totalActive();
         pending_.watts = cluster_.dynamicWatts();
@@ -317,16 +313,13 @@ class EventServe
     void
     processCompletions()
     {
-        std::vector<double> machine_qos(cluster_.size(), 0.0);
-        std::vector<std::size_t> machine_jobs(cluster_.size(), 0);
         std::size_t kept = 0;
         for (auto &tenant : active_) {
             if (tenant->done) {
                 const JobRecord &record = tenant->probe->record();
                 ++window_.completed;
                 window_beats_ += record.beats - tenant->beats_reported;
-                machine_qos[tenant->machine_index] += record.qos_loss;
-                ++machine_jobs[tenant->machine_index];
+                noteFinished(tenant->machine_index, record.qos_loss);
                 window_qos_sum_ += record.qos_loss;
                 ++window_finished_;
                 scheduler_.noteCompletion(record.latency_s,
@@ -340,11 +333,37 @@ class EventServe
         if (kept == active_.size())
             return;
         active_.resize(kept);
-        for (std::size_t m = 0; m < cluster_.size(); ++m)
-            if (machine_jobs[m] > 0)
-                qos_feedback_[m] = machine_qos[m] /
-                    static_cast<double>(machine_jobs[m]);
+        publishFeedback();
         requestArbitration();
+    }
+
+    /** Fold one finished job's QoS loss into its machine's sweep
+     *  accumulators, remembering which machines the sweep touched. */
+    void
+    noteFinished(std::size_t machine, double qos_loss)
+    {
+        if (machine_jobs_[machine]++ == 0)
+            touched_.push_back(machine);
+        machine_qos_[machine] += qos_loss;
+    }
+
+    /**
+     * End of a sweep: each machine that had finishers feeds their
+     * mean QoS loss back to the arbiter; machines with none keep
+     * their last-known loss, so the signal persists across idle gaps
+     * rather than flickering to zero. Resets only the touched
+     * accumulators, so a sweep costs O(finishers), not O(machines).
+     */
+    void
+    publishFeedback()
+    {
+        for (const std::size_t m : touched_) {
+            qos_feedback_[m] =
+                machine_qos_[m] / static_cast<double>(machine_jobs_[m]);
+            machine_qos_[m] = 0.0;
+            machine_jobs_[m] = 0;
+        }
+        touched_.clear();
     }
 
     /** One coalesced lease rewrite at the current virtual time. */
@@ -464,8 +483,9 @@ class EventServe
 
     /**
      * Serial admission of @p offered jobs arriving at epoch @p e, with
-     * shed accounting into @p stats, followed by tenant construction
-     * through the shared clone/gate recipe.
+     * shed accounting into @p stats, followed by the serial half of
+     * tenant construction (detail::makeTenant); runSlices() builds
+     * the rest on the workers.
      * @return Jobs actually admitted (appended to active_, in order).
      */
     std::size_t
@@ -481,16 +501,11 @@ class EventServe
         stats.shed += shed;
         report_.total_shed += shed;
 
-        auto bound = core::FanoutEngine::cloneBound(
-            app_, table_, placements.size());
-        for (std::size_t i = 0; i < placements.size(); ++i) {
+        for (const auto &[admission, offer] : placements) {
             active_.push_back(detail::makeTenant(
-                options_, model_, hub_,
-                cluster_.configOf(placements[i].first.machine),
-                next_job_, placements[i].first.machine, e,
-                static_cast<double>(e) * epoch_s_,
-                *placements[i].second, placements[i].first.predicted_s,
-                std::move(bound.apps[i]), std::move(bound.tables[i])));
+                options_, hub_, cluster_, next_job_, admission.machine,
+                e, static_cast<double>(e) * epoch_s_, *offer,
+                admission.predicted_s));
             ++next_job_;
         }
         return placements.size();
@@ -498,40 +513,21 @@ class EventServe
 
     /**
      * Advance every held tenant to its slice deadline through the
-     * fan-out engine's fixed-order merge — the only parallel section;
-     * the slice that completes a run commits its record on the worker
-     * actually running it.
+     * fan-out engine's fixed-order merge — the only parallel section
+     * (detail::runSlice launches, advances and releases each run).
      */
     void
     runSlices()
     {
         engine_.run(active_.size(),
                     [&](std::size_t i, std::size_t worker) {
-                        Tenant &t = *active_[i];
-                        if (t.done)
-                            return; // Awaiting release.
-                        if (t.trace)
-                            t.trace->beginSlice(worker);
-                        if (!t.started) {
-                            t.session->observe(*t.probe);
-                            if (t.trace)
-                                t.session->observe(*t.trace);
-                            t.session->start(t.input, t.machine);
-                            t.started = true;
-                        }
-                        const auto result =
-                            t.session->advanceUntil(t.slice_deadline_s);
-                        if (result.has_value()) {
-                            t.done = true;
-                            t.probe->finishOn(worker, t.machine);
-                        }
+                        detail::runSlice(*active_[i], source_, worker);
                     });
     }
 
-    const core::App &app_;
-    const core::KnobTable &table_;
     const core::ResponseModel &model_;
     const ServerOptions &options_;
+    const detail::TenantSource source_;
     const std::vector<std::vector<workload::OfferedJob>> &offers_;
 
     sim::Cluster cluster_;
@@ -545,6 +541,11 @@ class EventServe
     EventQueue<Event> queue_;
 
     std::vector<double> qos_feedback_;
+    // Completion-sweep scratch (see noteFinished/publishFeedback):
+    // all zero between sweeps.
+    std::vector<double> machine_qos_;
+    std::vector<std::size_t> machine_jobs_;
+    std::vector<std::size_t> touched_;
     std::vector<std::unique_ptr<Tenant>> active_; // In job order.
     FleetReport report_;
     std::size_t next_job_ = 0;

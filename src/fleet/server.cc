@@ -111,29 +111,14 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
     std::size_t next_offer = 0;
 
     // Advance every active tenant to its current slice deadline
-    // (+inf for the final drain); the slice that completes a run
-    // commits its record on the worker actually running it.
+    // (+inf for the final drain); detail::runSlice launches each run
+    // on the worker of its first slice and releases it on the worker
+    // whose slice completes it.
+    const detail::TenantSource source{*app_, *table_, *model_, options_};
     const auto runSlices = [&]() {
         engine.run(active.size(),
                    [&](std::size_t i, std::size_t worker) {
-                       Tenant &t = *active[i];
-                       if (t.done)
-                           return; // Awaiting release at the epoch top.
-                       if (t.trace)
-                           t.trace->beginSlice(worker);
-                       if (!t.started) {
-                           t.session->observe(*t.probe);
-                           if (t.trace)
-                               t.session->observe(*t.trace);
-                           t.session->start(t.input, t.machine);
-                           t.started = true;
-                       }
-                       const auto result =
-                           t.session->advanceUntil(t.slice_deadline_s);
-                       if (result.has_value()) {
-                           t.done = true;
-                           t.probe->finishOn(worker, t.machine);
-                       }
+                       detail::runSlice(*active[i], source, worker);
                    });
     };
 
@@ -168,18 +153,13 @@ Server::serve(const std::vector<std::vector<workload::OfferedJob>> &offers)
         stats.shed = scheduler.shedCount() - shed_before;
         report.total_shed += stats.shed;
 
-        // Private clones with rebound knob tables, created serially
-        // by the fan-out engine's preamble helper.
-        auto bound = core::FanoutEngine::cloneBound(
-            *app_, *table_, placements.size());
-        for (std::size_t i = 0; i < placements.size(); ++i) {
+        // The serial half of each tenant: identity, host and metrics
+        // probe. Clones, tables and sessions are built on the workers.
+        for (const auto &[admission, offer] : placements) {
             active.push_back(detail::makeTenant(
-                options_, *model_, hub,
-                cluster.configOf(placements[i].first.machine), next_job,
-                placements[i].first.machine, e,
-                static_cast<double>(e) * epoch_s,
-                *placements[i].second, placements[i].first.predicted_s,
-                std::move(bound.apps[i]), std::move(bound.tables[i])));
+                options_, hub, cluster, next_job, admission.machine, e,
+                static_cast<double>(e) * epoch_s, *offer,
+                admission.predicted_s));
             ++next_job;
         }
 

@@ -192,7 +192,16 @@ struct ServerOptions
      * response model.
      */
     AdmissionFactory admission;
-    /** Control-loop composition shared by every tenant session. */
+    /**
+     * Control-loop composition shared by every tenant session. Each
+     * tenant copies it on the fan-out worker that runs the tenant's
+     * first slice, so the policy and strategy factories and the gate
+     * are invoked from worker threads, concurrently across tenants
+     * (as is App::clone() of the server's app). Anything they share
+     * through captures must be thread-safe; per-copy state is not
+     * shared. The gate runs first in each beat, before the lease
+     * re-read and the lease's duty-cycle pause.
+     */
     core::SessionOptions session{};
     /**
      * Tenant input streams: each arriving job serves the next input

@@ -3,13 +3,14 @@
  * Tenant bookkeeping shared by the two fleet engines.
  *
  * The epoch loop (server.cc) and the discrete-event engine
- * (event_engine.cc) must construct tenants — and summarise finished
- * runs — through *identical* code paths, or their reports could drift
- * apart in ways the differential tests would then chase through two
- * divergent copies. This header is that single path: the persistent
- * Tenant record, the gate-composition recipe that wires a tenant's
- * lease into its session, and the report finalisation that turns
- * drained job records into fleet aggregates.
+ * (event_engine.cc) must construct, advance and release tenants — and
+ * summarise finished runs — through *identical* code paths, or their
+ * reports could drift apart in ways the differential tests would then
+ * chase through two divergent copies. This header is that single
+ * path: the serial admission record (Tenant), the worker-side run it
+ * launches and releases (TenantRun, runSlice), the flat gate that
+ * wires a tenant's lease into its session, and the report
+ * finalisation that turns drained job records into fleet aggregates.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
 #define POWERDIAL_FLEET_TENANT_H
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fanout.h"
 #include "fleet/observability.h"
 #include "fleet/server.h"
 
@@ -40,79 +42,94 @@ makeCluster(const ServerOptions &options)
 }
 
 /**
- * One admitted job, persistent across epochs: its session, private
- * clone, simulated machine, and metrics probe live as long as the job
- * is in flight, and its lease is rewritten by the arbiter at every
- * arbitration round. Tenants are heap-allocated and never move, so the
- * session's pointers into the clone and table (and the gate's pointer
- * back into the tenant) stay valid for the whole run.
+ * What one tenant runs on: its private clone, rebound knob table,
+ * simulated machine, trace probe and gated session. Built on the
+ * fan-out worker that runs the tenant's first slice and released on
+ * the worker whose slice completes the run, so neither the build nor
+ * the teardown sits on the coordinating thread. The machine is the
+ * *class* configuration of the host the job was placed on, so a job
+ * landing on a little node simulates little-node frequency, power and
+ * speed tables; it keeps no power-segment log, since only its energy
+ * integral is ever read.
+ */
+struct TenantRun
+{
+    TenantRun(const core::App &source, const core::KnobTable &table,
+              const sim::Machine::Config &host)
+        : app(source.clone()),
+          table(core::rebindKnobTable(table, *app)),
+          machine(host, sim::Machine::PowerLog::Drop)
+    {
+    }
+
+    std::unique_ptr<core::App> app;
+    core::KnobTable table;
+    sim::Machine machine;
+    /** Structured trace stream of this job (present when the serve
+     *  has a TraceSink attached). */
+    std::optional<obs::TraceProbe> trace;
+    std::optional<core::Session> session; //!< Last: it points into
+                                          //!< app, table and machine.
+};
+
+/**
+ * One admitted job, persistent across epochs: its identity, lease and
+ * metrics probe are set up serially at admission and live until the
+ * coordinator releases the job; its TenantRun lives only while the
+ * run is in flight. The lease is rewritten by the arbiter at every
+ * arbitration round. Tenants are heap-allocated and never move, so
+ * the session's pointers into the run (and the gate's pointer back
+ * into the tenant) stay valid for the whole run.
  */
 struct Tenant
 {
     std::size_t job = 0;
     std::size_t input = 0;
     std::size_t machine_index = 0;
+    std::size_t job_class = 0;
     std::size_t arrival_epoch = 0;
     double arrival_time_s = 0.0; //!< Fleet virtual time at admission
                                  //!< (event engine; the epoch loop
                                  //!< derives times from arrival_epoch).
+    /** Class configuration of the host (the cluster's catalog entry,
+     *  which outlives the serve). */
+    const sim::Machine::Config *host = nullptr;
 
-    std::unique_ptr<core::App> app;
-    core::KnobTable table;
-    sim::Machine machine;
     ArbitrationLease lease;
     std::size_t applied_generation = 0; //!< Gate-side: last applied.
     double slice_deadline_s = 0.0;      //!< Tenant-local slice end.
     std::size_t beats_reported = 0;     //!< Beats already attributed
                                         //!< to earlier epochs' rates.
 
-    explicit Tenant(const sim::Machine::Config &config)
-        : machine(config)
-    {
-    }
-
     std::optional<MetricsHub::Probe> probe;
-    /** Structured trace stream of this job (present when the serve
-     *  has a TraceSink attached). */
-    std::optional<obs::TraceProbe> trace;
-    std::optional<core::Session> session;
-    bool started = false;
+    std::optional<TenantRun> run; //!< Worker-side; see TenantRun.
     bool done = false;
 };
 
 /**
- * Build one tenant the way both engines must: probe seeded from the
- * job's identity and offered metadata, session gated by (caller's
- * gate, lease re-read, lease-driven duty-cycle pause) in that order.
- * The lease re-read gate applies changed terms within one beat of an
- * arbiter rewrite and reports the applied generation to the metrics
- * probe. An offer with the kRoundRobinTenant sentinel resolves its
- * input by the legacy round-robin-on-job-id rule. The tenant's private
- * machine is built from @p host_config — the *class* configuration of
- * the machine the job was placed on (cluster.configOf(machine_index)),
- * so a job landing on a little node simulates little-node frequency,
- * power, and speed tables, not the fleet default's.
+ * Admit one tenant the way both engines must, serially and in job
+ * order: identity, host, and the metrics probe seeded from the job's
+ * identity and offered metadata. An offer with the kRoundRobinTenant
+ * sentinel resolves its input by the legacy round-robin-on-job-id
+ * rule. Everything the run itself needs is left to runSlice().
  */
 inline std::unique_ptr<Tenant>
-makeTenant(const ServerOptions &options,
-           const core::ResponseModel &model, MetricsHub &hub,
-           const sim::Machine::Config &host_config, std::size_t job,
+makeTenant(const ServerOptions &options, MetricsHub &hub,
+           const sim::Cluster &cluster, std::size_t job,
            std::size_t machine_index, std::size_t arrival_epoch,
            double arrival_time_s, const workload::OfferedJob &offer,
-           double predicted_s, std::unique_ptr<core::App> app,
-           core::KnobTable table)
+           double predicted_s)
 {
-    auto tenant = std::make_unique<Tenant>(host_config);
-    Tenant *t = tenant.get();
+    auto t = std::make_unique<Tenant>();
     t->job = job;
     t->input = offer.tenant == kRoundRobinTenant
         ? options.tenants[job % options.tenants.size()]
         : offer.tenant;
     t->machine_index = machine_index;
+    t->job_class = offer.job_class;
     t->arrival_epoch = arrival_epoch;
     t->arrival_time_s = arrival_time_s;
-    t->app = std::move(app);
-    t->table = std::move(table);
+    t->host = &cluster.configOf(machine_index);
 
     JobRecord seed;
     seed.job = t->job;
@@ -123,33 +140,87 @@ makeTenant(const ServerOptions &options,
     seed.deadline_s = offer.deadline_s;
     seed.predicted_s = predicted_s;
     t->probe.emplace(hub.probe(0, seed));
+    return t;
+}
 
+/** What every tenant of one serve is built from. */
+struct TenantSource
+{
+    const core::App &app;
+    const core::KnobTable &table;
+    const core::ResponseModel &model;
+    const ServerOptions &options;
+};
+
+/**
+ * Build @p t's run on the calling worker: clone, rebound table,
+ * machine, trace probe, and the session gated by one flat gate that
+ * runs, in order, the caller's gate, the lease re-read (changed terms
+ * applied within one beat of an arbiter rewrite, the applied
+ * generation reported to the metrics probe), and the lease-driven
+ * duty-cycle pause.
+ */
+inline void
+launchTenant(Tenant &t, const TenantSource &source)
+{
+    TenantRun &run = t.run.emplace(source.app, source.table, *t.host);
+    const ServerOptions &options = source.options;
     if (options.trace != nullptr)
-        t->trace.emplace(*options.trace,
-                         obs::TraceProbe::Identity{
-                             t->job, t->input, t->machine_index,
-                             offer.job_class, arrival_time_s});
+        run.trace.emplace(*options.trace,
+                          obs::TraceProbe::Identity{
+                              t.job, t.input, t.machine_index,
+                              t.job_class, t.arrival_time_s});
 
-    // The tenant's gate: the caller's gate first, then the lease
-    // re-read (terms applied within one beat of the rewrite), then
-    // the lease-driven duty-cycle pause.
     core::SessionOptions session_options = options.session;
-    session_options.withGate(core::composeGates(
-        {options.session.gate,
-         [t](core::BeatGateContext &ctx) {
-             const ArbitrationLease &lease = t->lease;
-             if (t->applied_generation != lease.generation) {
-                 ctx.machine.setPStateCap(lease.pstate_cap);
-                 ctx.machine.setShare(lease.share);
-                 ctx.machine.setUtilization(lease.utilization);
-                 t->applied_generation = lease.generation;
-                 t->probe->noteLease(lease.generation);
-             }
-         },
-         core::makeDutyCycleGate([t]() { return t->lease.pause_ratio; })}));
-    t->session.emplace(*t->app, t->table, model,
-                       std::move(session_options));
-    return tenant;
+    Tenant *tenant = &t;
+    core::BeatGate caller = std::move(session_options.gate);
+    session_options.gate = [tenant, caller = std::move(caller)](
+                               core::BeatGateContext &ctx) {
+        if (caller)
+            caller(ctx);
+        const ArbitrationLease &lease = tenant->lease;
+        if (tenant->applied_generation != lease.generation) {
+            ctx.machine.setPStateCap(lease.pstate_cap);
+            ctx.machine.setShare(lease.share);
+            ctx.machine.setUtilization(lease.utilization);
+            tenant->applied_generation = lease.generation;
+            tenant->probe->noteLease(lease.generation);
+        }
+        if (lease.pause_ratio > 0.0)
+            ctx.pause_per_busy += lease.pause_ratio;
+    };
+    run.session.emplace(*run.app, run.table, source.model,
+                        std::move(session_options));
+}
+
+/**
+ * Advance @p t to its slice deadline on @p worker — the body of both
+ * engines' only parallel section. The first slice launches the run;
+ * the slice that completes it commits the job's record on the worker
+ * actually running it and releases the run there.
+ */
+inline void
+runSlice(Tenant &t, const TenantSource &source, std::size_t worker)
+{
+    if (t.done)
+        return; // Awaiting release.
+    const bool first = !t.run.has_value();
+    if (first)
+        launchTenant(t, source);
+    TenantRun &run = *t.run;
+    if (run.trace)
+        run.trace->beginSlice(worker);
+    if (first) {
+        run.session->observe(*t.probe);
+        if (run.trace)
+            run.session->observe(*run.trace);
+        run.session->start(t.input, run.machine);
+    }
+    if (run.session->advanceUntil(t.slice_deadline_s).has_value()) {
+        t.done = true;
+        t.probe->finishOn(worker, run.machine);
+        t.run.reset();
+    }
 }
 
 /**

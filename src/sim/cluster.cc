@@ -38,6 +38,14 @@ Cluster::provision()
     for (const std::size_t c : class_of_)
         machines_.emplace_back(catalog_.at(c).config);
     active_.assign(class_of_.size(), 0);
+    total_active_ = 0;
+    leaves_ = 1;
+    while (leaves_ < class_of_.size())
+        leaves_ *= 2;
+    tree_.assign(2 * leaves_, class_of_.size());
+    for (std::size_t i = 0; i < class_of_.size(); ++i)
+        tree_[leaves_ + i] = i;
+    rebuildIndex();
     heterogeneous_ = false;
     for (const std::size_t c : class_of_)
         if (c != class_of_.front())
@@ -50,9 +58,25 @@ Cluster::provision()
 }
 
 void
+Cluster::rebuildIndex()
+{
+    for (std::size_t n = leaves_ - 1; n >= 1; --n)
+        tree_[n] = winner(tree_[2 * n], tree_[2 * n + 1]);
+}
+
+void
+Cluster::updateIndex(std::size_t i)
+{
+    for (std::size_t n = (leaves_ + i) / 2; n >= 1; n /= 2)
+        tree_[n] = winner(tree_[2 * n], tree_[2 * n + 1]);
+}
+
+void
 Cluster::place(std::size_t i)
 {
     ++active_.at(i);
+    ++total_active_;
+    updateIndex(i);
 }
 
 void
@@ -61,21 +85,16 @@ Cluster::release(std::size_t i)
     if (active_.at(i) == 0)
         throw std::logic_error("Cluster: release on an idle machine");
     --active_[i];
-}
-
-std::size_t
-Cluster::totalActive() const
-{
-    std::size_t total = 0;
-    for (const std::size_t count : active_)
-        total += count;
-    return total;
+    --total_active_;
+    updateIndex(i);
 }
 
 void
 Cluster::clearPlacement()
 {
     std::fill(active_.begin(), active_.end(), 0);
+    total_active_ = 0;
+    rebuildIndex();
 }
 
 double

@@ -131,6 +131,12 @@ class Cluster
     // arrive and complete. The cluster tracks that occupancy here so
     // placement policies and the power arbiter can read a live view.
 
+    //
+    // A min-tournament tree over (active count, machine index) keeps
+    // the least-loaded machine at its root: place, release and
+    // clearPlacement maintain it in O(log M), so leastLoaded() is
+    // O(1) however large the fleet is.
+
     /** Record one more active instance on machine @p i. */
     void place(std::size_t i);
 
@@ -140,8 +146,15 @@ class Cluster
     /** Active instances currently placed on machine @p i. */
     std::size_t activeOn(std::size_t i) const { return active_.at(i); }
 
-    /** Active instances across the cluster. */
-    std::size_t totalActive() const;
+    /**
+     * The machine with the fewest active instances, lowest index on
+     * ties — what a front-to-back scan for the strict minimum of
+     * activeOn() returns. O(1).
+     */
+    std::size_t leastLoaded() const { return tree_[1]; }
+
+    /** Active instances across the cluster. O(1). */
+    std::size_t totalActive() const { return total_active_; }
 
     /** Per-machine active instance counts (size() entries). */
     const std::vector<std::size_t> &activeCounts() const
@@ -220,6 +233,25 @@ class Cluster
     /** Shared constructor tail: provision machines_ from class_of_. */
     void provision();
 
+    /** Rebuild every internal node of the tournament tree. O(M). */
+    void rebuildIndex();
+
+    /** Replay the matches on the path from machine @p i's leaf to the
+     *  root after its active count changed. O(log M). */
+    void updateIndex(std::size_t i);
+
+    /** The match winner of two tree entries: fewer active instances,
+     *  then the lower index (@p a is the left, lower-index child);
+     *  padding entries (index >= size()) always lose. */
+    std::size_t winner(std::size_t a, std::size_t b) const
+    {
+        if (b >= active_.size())
+            return a;
+        if (a >= active_.size())
+            return b;
+        return active_[b] < active_[a] ? b : a;
+    }
+
     static MachineLoad loadForCores(std::size_t cores,
                                     std::size_t instances);
 
@@ -229,6 +261,12 @@ class Cluster
     bool heterogeneous_ = false;
     double reference_effective_hz_ = 0.0;
     std::vector<std::size_t> active_;
+    std::size_t total_active_ = 0;
+    /** Heap-ordered tournament tree: leaves_ leaves starting at index
+     *  leaves_ (machine i at leaves_ + i, padding past size()), each
+     *  internal node n holding the winner of nodes 2n and 2n+1. */
+    std::vector<std::size_t> tree_;
+    std::size_t leaves_ = 0;
 };
 
 } // namespace powerdial::sim

@@ -6,9 +6,10 @@
 
 namespace powerdial::sim {
 
-Machine::Machine(const Config &config)
+Machine::Machine(const Config &config, PowerLog log)
     : scale_(config.scale), power_(config.power), cores_(config.cores),
-      speed_factor_(config.speed_factor)
+      speed_factor_(config.speed_factor),
+      log_power_(log == PowerLog::Keep)
 {
     if (cores_ == 0)
         throw std::invalid_argument("Machine: need at least one core");
@@ -43,6 +44,8 @@ Machine::account(double dt, double watts)
     const double t0 = clock_.now();
     clock_.advance(dt);
     energy_j_ += watts * dt;
+    if (!log_power_)
+        return;
     if (!trace_.empty() && trace_.back().watts == watts &&
         trace_.back().end_s == t0) {
         trace_.back().end_s = clock_.now();
@@ -100,9 +103,19 @@ Machine::idleUntil(double t)
         idleFor(t - clock_.now());
 }
 
+const std::vector<PowerSegment> &
+Machine::powerTrace() const
+{
+    if (!log_power_)
+        throw std::logic_error("Machine: built without a power log");
+    return trace_;
+}
+
 double
 Machine::meanWatts(double t0, double t1) const
 {
+    if (!log_power_)
+        throw std::logic_error("Machine: built without a power log");
     if (t1 <= t0)
         return 0.0;
     double joules = 0.0;

@@ -60,8 +60,19 @@ class Machine
         double speed_factor = 1.0;
     };
 
+    /**
+     * Whether the machine records its constant-power segment log.
+     * Energy is integrated either way, bit for bit the same; a
+     * machine built with Drop saves the log's per-segment growth but
+     * cannot answer powerTrace() or meanWatts() (both throw
+     * std::logic_error). Fleet tenant machines, whose energy is all
+     * anyone reads, are built that way.
+     */
+    enum class PowerLog { Keep, Drop };
+
     Machine() : Machine(Config{}) {}
-    explicit Machine(const Config &config);
+    explicit Machine(const Config &config,
+                     PowerLog log = PowerLog::Keep);
 
     /** Current virtual time in seconds. */
     double now() const { return clock_.now(); }
@@ -162,7 +173,7 @@ class Machine
      * The full constant-power segment log (WattsUp-style trace source).
      * Adjacent segments at equal power are coalesced.
      */
-    const std::vector<PowerSegment> &powerTrace() const { return trace_; }
+    const std::vector<PowerSegment> &powerTrace() const;
 
   private:
     /** Record @p dt seconds at @p watts, integrating energy. */
@@ -178,6 +189,7 @@ class Machine
     double utilization_ = -1.0;
     VirtualClock clock_;
     double energy_j_ = 0.0;
+    bool log_power_ = true;
     std::vector<PowerSegment> trace_;
 };
 

@@ -1,6 +1,9 @@
 /** @file Unit tests for sim::Cluster. */
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "sim/cluster.h"
 
 namespace powerdial::sim {
@@ -207,6 +210,95 @@ TEST(Cluster, DynamicWattsSeesPerMachineCaps)
     cluster.machine(1).setPStateCap(
         cluster.machine(1).scale().lowestState());
     EXPECT_LT(cluster.dynamicWatts(), uncapped);
+}
+
+/** The lowest-index argmin of activeOn(), by a front-to-back scan. */
+std::size_t
+bruteLeastLoaded(const Cluster &cluster)
+{
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < cluster.size(); ++i)
+        if (cluster.activeOn(i) < cluster.activeOn(best))
+            best = i;
+    return best;
+}
+
+std::size_t
+bruteTotalActive(const Cluster &cluster)
+{
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < cluster.size(); ++i)
+        total += cluster.activeOn(i);
+    return total;
+}
+
+/**
+ * Drive @p cluster through a seeded random place/release/
+ * clearPlacement sequence, checking the occupancy index against the
+ * brute-force scan after every step.
+ */
+void
+checkIndexUnderRandomOps(Cluster cluster, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    const std::size_t n = cluster.size();
+    ASSERT_EQ(cluster.leastLoaded(), 0u);
+    const std::size_t steps = 4 * n + 400;
+    for (std::size_t step = 0; step < steps; ++step) {
+        const std::uint64_t op = rng() % 100;
+        if (op < 2) {
+            cluster.clearPlacement();
+        } else if (op < 60) {
+            // Mostly least-loaded placement (the fleet's pattern, which
+            // keeps many ties), sometimes an arbitrary machine.
+            cluster.place(op < 40 ? cluster.leastLoaded() : rng() % n);
+        } else {
+            const std::size_t i = rng() % n;
+            if (cluster.activeOn(i) > 0)
+                cluster.release(i);
+        }
+        ASSERT_EQ(cluster.leastLoaded(), bruteLeastLoaded(cluster))
+            << "size " << n << " seed " << seed << " step " << step;
+        ASSERT_EQ(cluster.totalActive(), bruteTotalActive(cluster));
+    }
+    // A copy carries a consistent index of its own.
+    Cluster copy = cluster;
+    EXPECT_EQ(copy.leastLoaded(), bruteLeastLoaded(copy));
+    copy.place(copy.leastLoaded());
+    EXPECT_EQ(copy.leastLoaded(), bruteLeastLoaded(copy));
+    EXPECT_EQ(cluster.leastLoaded(), bruteLeastLoaded(cluster));
+}
+
+TEST(Cluster, LeastLoadedIndexMatchesScanHomogeneous)
+{
+    for (const std::size_t n : {1u, 2u, 3u, 7u, 1000u})
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            checkIndexUnderRandomOps(Cluster(n, config8()), seed * 97 + n);
+}
+
+TEST(Cluster, LeastLoadedIndexMatchesScanFromCatalog)
+{
+    const MachineCatalog catalog = MachineCatalog::bigLittle();
+    for (const std::size_t n : {1u, 2u, 3u, 7u, 1000u})
+        for (std::uint64_t seed = 1; seed <= 3; ++seed)
+            checkIndexUnderRandomOps(
+                Cluster(catalog, {n / 2, n - n / 2}), seed * 131 + n);
+}
+
+TEST(Cluster, LeastLoadedBreaksTiesByLowestIndex)
+{
+    Cluster cluster(5, config8());
+    EXPECT_EQ(cluster.leastLoaded(), 0u);
+    cluster.place(0);
+    cluster.place(2);
+    EXPECT_EQ(cluster.leastLoaded(), 1u);
+    cluster.place(1);
+    EXPECT_EQ(cluster.leastLoaded(), 3u);
+    cluster.release(2);
+    EXPECT_EQ(cluster.leastLoaded(), 2u);
+    cluster.clearPlacement();
+    EXPECT_EQ(cluster.leastLoaded(), 0u);
+    EXPECT_EQ(cluster.totalActive(), 0u);
 }
 
 } // namespace

@@ -21,8 +21,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -388,6 +390,86 @@ TEST(EventEngine, IdleEpochsScheduleNoArbitration)
     EXPECT_EQ(epoch_rounds, arrivals.size());
     EXPECT_LT(event_rounds, epoch_rounds / 2);
     EXPECT_GT(event_rounds, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Tenant lifecycle: clones, tables and sessions are built on the
+// fan-out workers and released there when the run completes.
+// ---------------------------------------------------------------------
+
+/** Live and total clone counts, shared by every CountedToyApp. */
+struct CloneCounts
+{
+    std::atomic<long> live{0};
+    std::atomic<long> created{0};
+};
+
+/** A ToyApp whose copies (clones) count themselves in and out of a
+ *  shared tally. clone() runs on fan-out workers, hence the atomics. */
+class CountedToyApp final : public powerdial::tests::ToyApp
+{
+  public:
+    explicit CountedToyApp(std::shared_ptr<CloneCounts> counts)
+        : counts_(std::move(counts))
+    {
+    }
+
+    CountedToyApp(const CountedToyApp &other)
+        : ToyApp(other), counts_(other.counts_), counted_(true)
+    {
+        ++counts_->live;
+        ++counts_->created;
+    }
+
+    ~CountedToyApp() override
+    {
+        if (counted_)
+            --counts_->live;
+    }
+
+    std::unique_ptr<core::App>
+    clone() const override
+    {
+        return std::make_unique<CountedToyApp>(*this);
+    }
+
+  private:
+    std::shared_ptr<CloneCounts> counts_;
+    bool counted_ = false;
+};
+
+TEST(TenantLifecycle, WorkerBuiltRunsAreAllReleasedAndThreadInvariant)
+{
+    auto p = makePipeline();
+    auto counts = std::make_shared<CloneCounts>();
+    const CountedToyApp app(counts);
+    const double baseline_s = p.model.baselineSeconds();
+    for (std::uint64_t seed : {3u, 19u, 42u}) {
+        FleetScenario scenario =
+            makeFleetScenario(seed, baseline_s, p.app.productionInputs());
+        for (const bool compat : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << (compat ? " compat"
+                                                       : " event"));
+            ServerOptions options = scenario.options;
+            options.engine = EngineMode::Event;
+            options.event.epoch_compat = compat;
+            FleetReport reports[2];
+            const std::size_t threads[2] = {1, 4};
+            for (int i = 0; i < 2; ++i) {
+                options.threads = threads[i];
+                const long created_before = counts->created.load();
+                Server server(app, p.table, p.model, options);
+                reports[i] = server.serve(scenario.arrivals);
+                // One clone per admitted job, none still alive.
+                EXPECT_EQ(counts->live.load(), 0);
+                EXPECT_EQ(counts->created.load() - created_before,
+                          static_cast<long>(reports[i].total_jobs));
+            }
+            ASSERT_GT(reports[0].total_jobs, 0u);
+            expectReportsIdentical(reports[0], reports[1]);
+        }
+    }
 }
 
 } // namespace

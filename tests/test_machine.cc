@@ -1,7 +1,11 @@
 /** @file Unit tests for sim::Machine. */
 #include <gtest/gtest.h>
 
+#include <random>
+#include <stdexcept>
+
 #include "sim/machine.h"
+#include "sim/machine_catalog.h"
 
 namespace powerdial::sim {
 namespace {
@@ -134,6 +138,74 @@ TEST(Machine, PowerTraceSplitsOnPowerChange)
     m.idleFor(0.5);
     EXPECT_EQ(m.powerTrace().size(), 2u);
     EXPECT_GT(m.powerTrace()[0].watts, m.powerTrace()[1].watts);
+}
+
+TEST(Machine, LogFreeMachineIntegratesTheSameEnergy)
+{
+    // A machine without the power-segment log must integrate energy
+    // bit for bit like a logging one, whatever the actuation mix.
+    const MachineCatalog catalog = MachineCatalog::bigLittle();
+    for (std::size_t c = 0; c < catalog.size(); ++c) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            const Machine::Config &config = catalog.at(c).config;
+            Machine logged(config);
+            Machine bare(config, Machine::PowerLog::Drop);
+            std::mt19937_64 rng(seed);
+            const std::size_t states = logged.scale().states();
+            for (int step = 0; step < 500; ++step) {
+                const double x =
+                    static_cast<double>(rng() % 1000) / 1000.0;
+                switch (rng() % 6) {
+                case 0:
+                    logged.execute(x * 3e9);
+                    bare.execute(x * 3e9);
+                    break;
+                case 1:
+                    logged.idleFor(x * 0.7);
+                    bare.idleFor(x * 0.7);
+                    break;
+                case 2: {
+                    const std::size_t state = rng() % states;
+                    logged.setPState(state);
+                    bare.setPState(state);
+                    break;
+                }
+                case 3: {
+                    const std::size_t cap = rng() % states;
+                    logged.setPStateCap(cap);
+                    bare.setPStateCap(cap);
+                    break;
+                }
+                case 4:
+                    logged.setShare(0.05 + 0.95 * x);
+                    bare.setShare(0.05 + 0.95 * x);
+                    break;
+                default: {
+                    const double u = rng() % 5 == 0 ? -1.0 : x;
+                    logged.setUtilization(u);
+                    bare.setUtilization(u);
+                    break;
+                }
+                }
+                ASSERT_EQ(bare.energyJoules(), logged.energyJoules())
+                    << "class " << c << " seed " << seed << " step "
+                    << step;
+                ASSERT_EQ(bare.now(), logged.now());
+                ASSERT_EQ(bare.pstate(), logged.pstate());
+            }
+            EXPECT_GT(logged.powerTrace().size(), 1u);
+        }
+    }
+}
+
+TEST(Machine, LogFreeMachineRefusesLogQueries)
+{
+    Machine m(Machine::Config{}, Machine::PowerLog::Drop);
+    m.execute(1e9);
+    EXPECT_GT(m.energyJoules(), 0.0);
+    EXPECT_THROW(m.powerTrace(), std::logic_error);
+    EXPECT_THROW(m.meanWatts(), std::logic_error);
+    EXPECT_THROW(m.meanWatts(0.0, 0.1), std::logic_error);
 }
 
 TEST(Machine, BadPStateThrows)

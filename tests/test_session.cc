@@ -207,6 +207,35 @@ TEST(Session, RunWithoutObserversStillReportsCounts)
     EXPECT_GT(run.seconds, 0.0);
 }
 
+TEST(Session, RegisteringAnObserverTwiceThrows)
+{
+    // A second registration would double every dispatch; the session
+    // refuses it, and the observer keeps seeing each event once.
+    struct Counter final : RunObserver
+    {
+        std::size_t starts = 0, beats = 0, ends = 0;
+        void onRunStart(const RunStartEvent &) override { ++starts; }
+        void onBeat(const BeatEvent &) override { ++beats; }
+        void onRunEnd(const ControlledRun &) override { ++ends; }
+    };
+    auto p = makePipeline();
+    Session session(p.app, p.table, p.model);
+    Counter counter;
+    session.observe(counter);
+    EXPECT_THROW(session.observe(counter), std::invalid_argument);
+    Counter &owned = session.attach<Counter>();
+    EXPECT_THROW(session.observe(owned), std::invalid_argument);
+
+    for (int run = 1; run <= 2; ++run) {
+        sim::Machine machine;
+        const auto result = session.run(0, machine);
+        EXPECT_EQ(counter.starts, static_cast<std::size_t>(run));
+        EXPECT_EQ(counter.ends, static_cast<std::size_t>(run));
+        EXPECT_EQ(counter.beats, run * result.beat_count);
+        EXPECT_EQ(owned.beats, counter.beats);
+    }
+}
+
 TEST(Session, OptionValidation)
 {
     auto p = makePipeline();

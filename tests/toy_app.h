@@ -17,7 +17,7 @@
 
 namespace powerdial::tests {
 
-class ToyApp final : public core::App
+class ToyApp : public core::App
 {
   public:
     struct Config
