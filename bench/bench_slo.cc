@@ -15,8 +15,8 @@
  *
  * — once under QueueDepthAdmission (the historical blind shedding)
  * and once under PredictiveAdmission (shed only predicted SLO
- * violations, low-priority classes first), on both serve engines
- * (legacy epoch loop and the discrete-event engine). Tenants carry
+ * violations, low-priority classes first), on both engine schedules
+ * (synchronous epoch rounds and free-running events). Tenants carry
  * three priority classes with tightening deadlines; the report is the
  * per-class p99 *conditioned on the rejection rate* — lower tail
  * latency is trivial if you reject everything, so each p99 is printed
@@ -25,7 +25,7 @@
  * rejecting more top-class traffic.
  *
  * Output is byte-identical for --threads=1 and --threads=N on both
- * engines (the CI slo-smoke job asserts this and diffs the summary
+ * schedules (the CI slo-smoke job asserts this and diffs the summary
  * against bench/golden/slo_admission.txt). Wall-clock goes to stderr.
  */
 #include <chrono>

@@ -7,58 +7,6 @@
 
 namespace powerdial::core {
 
-BeatGate
-composeGates(std::vector<BeatGate> gates)
-{
-    std::vector<BeatGate> live;
-    for (BeatGate &gate : gates)
-        if (gate)
-            live.push_back(std::move(gate));
-    if (live.empty())
-        return nullptr;
-    if (live.size() == 1)
-        return std::move(live.front());
-    return [live = std::move(live)](BeatGateContext &ctx) {
-        for (const BeatGate &gate : live)
-            gate(ctx);
-    };
-}
-
-BeatGate
-composeGates(BeatGate first, BeatGate second)
-{
-    std::vector<BeatGate> gates;
-    gates.push_back(std::move(first));
-    gates.push_back(std::move(second));
-    return composeGates(std::move(gates));
-}
-
-BeatGate
-makeDutyCycleGate(double ratio)
-{
-    if (ratio < 0.0)
-        throw std::invalid_argument(
-            "makeDutyCycleGate: ratio must be >= 0");
-    if (ratio == 0.0)
-        return nullptr;
-    return [ratio](BeatGateContext &ctx) {
-        ctx.pause_per_busy += ratio;
-    };
-}
-
-BeatGate
-makeDutyCycleGate(std::function<double()> ratio)
-{
-    if (!ratio)
-        throw std::invalid_argument(
-            "makeDutyCycleGate: null ratio provider");
-    return [ratio = std::move(ratio)](BeatGateContext &ctx) {
-        const double r = ratio();
-        if (r > 0.0)
-            ctx.pause_per_busy += r;
-    };
-}
-
 SessionOptions &
 SessionOptions::withQuantum(std::size_t beats)
 {
@@ -173,15 +121,11 @@ Session::start(std::size_t input, sim::Machine &machine)
     if (state_.has_value())
         throw std::logic_error("Session: start() with a run in flight");
 
-    RunState state;
-    state.input = input;
-    state.machine = &machine;
-    state.target = options_.target_rate > 0.0 ? options_.target_rate
-                                              : model_->baselineRate();
-
     // Paper setup: min and max target are both the baseline rate.
-    state.monitor.emplace(options_.window,
-                          hb::HeartRateTarget{state.target, state.target});
+    RunState state(input, machine,
+                   options_.target_rate > 0.0 ? options_.target_rate
+                                              : model_->baselineRate(),
+                   options_.window);
 
     ControlSetup setup;
     setup.baseline_rate = model_->baselineRate();

@@ -85,34 +85,6 @@ struct BeatGateContext
 using BeatGate = std::function<void(BeatGateContext &)>;
 
 /**
- * Compose gates into one: each beat runs every non-null gate in order
- * on the same context, so their pause contributions accumulate (the
- * fleet server composes the caller's gate with the lease gate this
- * way). Null entries are skipped; if no gate remains the result is a
- * null BeatGate, which SessionOptions treats as "no gate".
- */
-BeatGate composeGates(std::vector<BeatGate> gates);
-
-/** Two-gate convenience overload (the common caller + arbiter pair). */
-BeatGate composeGates(BeatGate first, BeatGate second);
-
-/**
- * A duty-cycle pause gate: every beat adds @p ratio idle seconds per
- * busy second of the beat's work (BeatGateContext::pause_per_busy).
- * Because the pause scales with measured busy time, a machine
- * duty-cycled this way meets an average power budget exactly whatever
- * the tenant's share, frequency, and knob setting.
- */
-BeatGate makeDutyCycleGate(double ratio);
-
-/**
- * Dynamic duty-cycle gate: @p ratio() is sampled every beat, so an
- * external agent (e.g. a fleet arbitration lease) can retune the
- * pause mid-run and the next beat already honours it.
- */
-BeatGate makeDutyCycleGate(std::function<double()> ratio);
-
-/**
  * Session configuration: plain fields plus builder-style setters so
  * call sites can compose options fluently:
  *
@@ -211,7 +183,7 @@ class Session
      * Begin a controlled run without executing any units: installs the
      * baseline knob setting, loads the input, rewinds the governor,
      * and emits onRunStart. The machine must outlive the run. This is
-     * the persistent-tenant entry point: a fleet epoch loop starts a
+     * the persistent-tenant entry point: the fleet engine starts a
      * tenant once, then advances it one epoch slice at a time.
      */
     void start(std::size_t input, sim::Machine &machine);
@@ -251,12 +223,26 @@ class Session
     /** Everything one in-flight run carries across epoch slices. */
     struct RunState
     {
+        /** The heartbeat monitor is built here, never re-seated: the
+         *  target range is pinned to @p target (the paper's setup). */
+        RunState(std::size_t input, sim::Machine &machine, double target,
+                 std::size_t window)
+            : input(input), machine(&machine), target(target),
+              monitor(std::in_place, window,
+                      hb::HeartRateTarget{target, target})
+        {
+        }
+
         std::size_t input = 0;
         sim::Machine *machine = nullptr;
         double target = 0.0;
         double start_time_s = 0.0;
         std::size_t units = 0;
         std::size_t unit = 0; //!< Next unit (beat) to process.
+        // Always engaged. The optional keeps RunState's size: a plain
+        // member shrinks it by 8 bytes, which moved fleet tenants into
+        // another malloc size class and raised perfbench fleet-scale
+        // peak RSS from ~121 to ~142 MB (glibc, 4 workers).
         std::optional<hb::Monitor> monitor;
         ActuationPlan plan;
         std::size_t baseline = 0;

@@ -23,7 +23,7 @@
  *
  * Implementations must be deterministic pure functions of the context
  * plus their own serially-fed feedback (noteArbitration /
- * noteCompletion are only called from the engines' serial sections),
+ * noteCompletion are only called from the engine's serial sections),
  * preserving the repo's bit-identical-replay discipline.
  */
 #ifndef POWERDIAL_FLEET_ADMISSION_H
@@ -120,7 +120,7 @@ class AdmissionPolicy
 
     /**
      * An arbitration round just installed @p decision on the cluster.
-     * Called serially, in virtual-time order, by both engines.
+     * Called serially, in virtual-time order, on both schedules.
      */
     virtual void noteArbitration(const ArbitrationDecision &decision)
     {
@@ -132,7 +132,7 @@ class AdmissionPolicy
      * latency against the @p predicted_s the policy returned at
      * admission (0 = it made no prediction). The feedback hook behind
      * PredictiveAdmission's adaptive margin; called serially at
-     * release points, in virtual-time order, by both engines.
+     * release points, in virtual-time order, on both schedules.
      */
     virtual void noteCompletion(double observed_s, double predicted_s)
     {

@@ -29,7 +29,7 @@ using detail::Tenant;
 struct Event
 {
     enum class Kind {
-        EpochTop,   //!< Compat: release + admit + arbitrate, epoch e.
+        EpochTop,   //!< Epoch schedule: release, admit, arbitrate.
         Sample,     //!< Stats-row close (epoch e / window index).
         Arrivals,   //!< Event mode: the trace offers jobs at epoch e.
         Quantum,    //!< Event mode: beat-quantum expiry.
@@ -41,10 +41,10 @@ struct Event
 };
 
 /**
- * One serve() worth of discrete-event state. Construction mirrors the
- * epoch loop exactly (same cluster, scheduler, arbiter, fan-out
- * engine, and metrics hub); the two run modes differ only in which
- * events they schedule and how tenant slice deadlines are set.
+ * One serve() worth of discrete-event state. Both schedules share the
+ * cluster, scheduler, arbiter, fan-out engine, metrics hub, admission
+ * and tenant advancement; they differ only in which events they
+ * schedule and how tenant slice deadlines are set.
  */
 class EventServe
 {
@@ -80,8 +80,8 @@ class EventServe
     {
         if (options_.trace != nullptr)
             options_.trace->beginServe(engine_.workers());
-        if (options_.event.epoch_compat)
-            runCompat();
+        if (options_.engine == EngineMode::Epoch)
+            runEpoch();
         else
             runEvent();
 
@@ -105,16 +105,17 @@ class EventServe
 
   private:
     // ------------------------------------------------------------------
-    // Epoch-compat mode: the event machinery replaying the legacy
-    // schedule. Per epoch e the setup pushes EpochTop(e) at t(e) and
-    // Sample(e) at t(e+1); push order makes Sample(e) dispatch before
-    // EpochTop(e+1) at their shared timestamp, so accounting for epoch
-    // e lands before epoch e+1 releases finished tenants — exactly the
-    // legacy statement order. The clock move from t(e) to t(e+1) runs
-    // the epoch's tenant slices in between.
+    // Epoch schedule (EngineMode::Epoch): synchronous rounds. Per epoch
+    // e the setup pushes EpochTop(e) at t(e) and Sample(e) at t(e+1);
+    // push order makes Sample(e) dispatch before EpochTop(e+1) at their
+    // shared timestamp, so accounting for epoch e lands before epoch
+    // e+1 releases finished tenants. The clock move from t(e) to
+    // t(e+1) runs the epoch's tenant slices in between. The quantum is
+    // one epoch and the sample stride 1, whatever EventEngineOptions
+    // says.
     // ------------------------------------------------------------------
     void
-    runCompat()
+    runEpoch()
     {
         report_.epochs.reserve(offers_.size());
         for (std::size_t e = 0; e < offers_.size(); ++e) {
@@ -132,16 +133,17 @@ class EventServe
                 epochTop(entry.payload.index);
                 break;
             case Event::Kind::Sample:
-                sampleCompat();
+                sampleEpoch();
                 break;
             default:
                 throw std::logic_error(
-                    "event engine: unexpected event in compat mode");
+                    "event engine: unexpected event on the epoch "
+                    "schedule");
             }
         }
     }
 
-    /** Legacy top-of-epoch: release, admit, arbitrate, write leases. */
+    /** Top of epoch: release, admit, arbitrate, write leases. */
     void
     epochTop(std::size_t e)
     {
@@ -179,17 +181,17 @@ class EventServe
         for (auto &tenant : active_) {
             detail::writeLease(cluster_, *tenant, generation, e,
                                last_decision_, tracer_);
-            // The legacy float expression, tenant-local: NOT
-            // t(e+1) - arrival_time, which rounds differently.
+            // Tenant-local, in this float form (the epoch-schedule
+            // goldens pin its rounding): NOT t(e+1) - arrival_time.
             tenant->slice_deadline_s =
                 static_cast<double>(e - tenant->arrival_epoch + 1) *
                 epoch_s_;
         }
     }
 
-    /** Legacy end-of-epoch accounting over the still-held tenants. */
+    /** End-of-epoch accounting over the still-held tenants. */
     void
-    sampleCompat()
+    sampleEpoch()
     {
         double qos_sum = 0.0;
         std::size_t finished = 0;
@@ -258,7 +260,7 @@ class EventServe
             switch (entry.payload.kind) {
             case Event::Kind::Arrivals:
                 // Releases settle before admissions at equal times,
-                // like the legacy epoch top.
+                // like the epoch schedule's EpochTop.
                 processCompletions();
                 arrivalsAt(entry.payload.index);
                 break;
@@ -478,7 +480,7 @@ class EventServe
     }
 
     // ------------------------------------------------------------------
-    // Shared with both modes (and bit-identical to the epoch loop).
+    // Shared by both schedules.
     // ------------------------------------------------------------------
 
     /**
@@ -552,7 +554,8 @@ class EventServe
     std::size_t next_offer_ = 0;
     double epoch_s_ = 0.0;
 
-    // Compat-mode state.
+    // Epoch-schedule row under construction; the last arbitration
+    // round (both schedules).
     EpochStats pending_{};
     ArbitrationDecision last_decision_{};
 

@@ -1,27 +1,26 @@
 /**
  * @file
- * The discrete-event fleet engine.
- *
- * The legacy epoch loop advances every tenant and re-prices every
- * machine once per epoch, whether or not anything changed — wall-clock
- * scales with fleet size x epoch count. This engine replaces the round
- * loop with a deterministic discrete-event core:
+ * The fleet engine: one deterministic discrete-event core behind
+ * every Server::serve.
  *
  *   - a priority queue of typed events — job arrivals, beat-quantum
  *     expiries, job completions, lease rewrites (arbitration), trace
  *     samples — ordered by (virtual time, stable sequence id), so
  *     execution order is total and independent of thread count;
  *   - tenant advancement *between* events through core::FanoutEngine's
- *     fixed-order merge (the only parallel section);
- *   - arbitration triggered by state changes (admissions, completions)
- *     rather than by the epoch clock; the epoch cadence survives only
- *     as a periodic event source (trace samples, the default quantum).
+ *     fixed-order merge (the only parallel section).
  *
- * In EventEngineOptions::epoch_compat mode the queue is restricted to
- * epoch-cadence events replaying the legacy schedule exactly, and the
- * resulting FleetReport is bit-identical to Server's epoch loop —
- * tests/test_fleet_event_engine.cc pins this differentially over
- * dozens of randomized scenarios.
+ * ServerOptions::engine picks the schedule the queue runs. Under
+ * EngineMode::Epoch it holds only epoch-cadence events — release,
+ * admit and arbitrate at each epoch top, account at each epoch end,
+ * every tenant advanced one epoch slice in between — the synchronous
+ * round schedule of the paper's fleet experiments (section 5.5).
+ * Under EngineMode::Event arbitration fires on state changes
+ * (admissions, completions) rather than on the epoch clock, and the
+ * epoch cadence survives only as a periodic event source (trace
+ * samples, the default quantum), so an idle fleet costs no events.
+ * tests/test_fleet_event_engine.cc pins the epoch schedule to golden
+ * report digests over dozens of randomized scenarios.
  */
 #ifndef POWERDIAL_FLEET_EVENT_ENGINE_H
 #define POWERDIAL_FLEET_EVENT_ENGINE_H
@@ -34,9 +33,9 @@ namespace powerdial::fleet {
 
 /**
  * Serve @p offers (jobs offered per epoch, with tenant/class/deadline
- * metadata) through the discrete-event engine. Called by Server::serve
- * when ServerOptions::engine == EngineMode::Event; callers normally go
- * through Server rather than this entry point. Same contract as
+ * metadata) on the schedule ServerOptions::engine selects. Called by
+ * Server::serve; callers normally go through Server rather than this
+ * entry point. Same contract as
  * Server::serve: app, table, and model must outlive the call, and the
  * caller's app instance is never run.
  */

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fleet-plane decision attribution: the tracer both engines call at
- * their serial decision points, plus the FleetReport-to-metrics
+ * Fleet-plane decision attribution: the tracer the fleet engine calls
+ * at its serial decision points, plus the FleetReport-to-metrics
  * bridge.
  *
  * The FleetTracer wraps an optional obs::TraceSink and renders each
@@ -10,10 +10,10 @@
  * verdicts with the full pricing math (predicted latency, margin,
  * class headroom), sheds with their attributed cause, arbitration
  * terms per machine, and every lease rewrite. With no sink attached
- * every method is one null check — the engines call the tracer
+ * every method is one null check — the engine calls the tracer
  * unconditionally.
  *
- * All methods must be called from the engines' serial sections only
+ * All methods must be called from the engine's serial sections only
  * (admission, arbitration, and lease writes already are): emitFleet
  * assigns a single monotone sequence, which is what makes the fleet
  * plane's trace order thread-count independent.

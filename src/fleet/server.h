@@ -34,11 +34,15 @@
  * (ServerOptions::queue_depth); arrivals past the bound are shed and
  * counted.
  *
+ * One engine drives every serve (fleet/event_engine.h): a
+ * discrete-event core run on the synchronous epoch schedule above or
+ * on a free-running, change-triggered one (EngineMode).
+ *
  * Determinism follows the repo's replay discipline: all placement and
  * arbitration decisions are serial; only the mutually independent
- * tenant epoch slices fan out through core::FanoutEngine, and their
- * records merge in job order — the full report is bit-identical at
- * any thread count (tests/test_fleet.cc pins this).
+ * tenant slices fan out through core::FanoutEngine, and their records
+ * merge in job order — the full report is bit-identical at any thread
+ * count (tests/test_fleet.cc pins this).
  */
 #ifndef POWERDIAL_FLEET_SERVER_H
 #define POWERDIAL_FLEET_SERVER_H
@@ -60,18 +64,17 @@ class TraceSink;
 namespace powerdial::fleet {
 
 /**
- * Which engine drives the serve.
+ * Which schedule the fleet engine (src/fleet/event_engine.cc) runs.
+ * Both are the same discrete-event core: a priority queue of typed
+ * events ordered by (virtual time, stable sequence id).
  *
- * Epoch is the legacy synchronous round loop: every epoch advances
- * every tenant one slice and runs one arbitration round, whether or
- * not anything changed. Event is the discrete-event engine
- * (src/fleet/event_engine.cc): a priority queue of typed events —
- * arrivals, beat-quantum expiries, completions, lease rewrites, trace
- * samples — ordered by (virtual time, stable sequence id), with
- * arbitration fired by state changes rather than by the epoch clock.
- * The event engine configured with EventEngineOptions::epoch_compat
- * reproduces the epoch loop's FleetReport bit for bit
- * (tests/test_fleet_event_engine.cc pins this differentially).
+ * Epoch is the synchronous round schedule: every epoch advances every
+ * tenant one slice and runs one arbitration round, whether or not
+ * anything changed, and reports one EpochStats row per epoch
+ * (EventEngineOptions is ignored). Event is free-running: arrivals,
+ * beat-quantum expiries, completions, lease rewrites and trace
+ * samples are scheduled as they occur, with arbitration fired by
+ * state changes rather than by the epoch clock.
  */
 enum class EngineMode
 {
@@ -79,18 +82,13 @@ enum class EngineMode
     Event,
 };
 
-/** Tuning for EngineMode::Event. */
+/**
+ * Tuning for EngineMode::Event. EngineMode::Epoch ignores it (its
+ * quantum is one epoch, its stride 1), but the Server still rejects
+ * invalid values.
+ */
 struct EventEngineOptions
 {
-    /**
-     * Restrict the event engine to epoch-cadence triggers only: one
-     * lease-rewrite and one trace-sample event per epoch, quantum
-     * equal to the epoch — the discrete-event machinery replaying the
-     * legacy schedule exactly. The resulting FleetReport is
-     * bit-identical to EngineMode::Epoch; differential tests run both
-     * and compare. Requires the defaults for the fields below.
-     */
-    bool epoch_compat = false;
     /**
      * Beat-quantum: the longest the engine lets virtual time run
      * between visits to an active tenant, bounding how stale a
@@ -99,7 +97,7 @@ struct EventEngineOptions
     double quantum_seconds = 0.0;
     /**
      * Emit one EpochStats row per this many epochs (trace-sample
-     * events). 1 = every epoch, like the legacy loop; larger strides
+     * events). 1 = every epoch, like EngineMode::Epoch; larger strides
      * keep the report small for 10^4+-epoch scale runs. Must be >= 1.
      */
     std::size_t sample_stride = 1;
@@ -119,9 +117,9 @@ struct ArbitrationSample
 };
 
 /**
- * Observer for arbitration rounds (both engines call it, in virtual-
- * time order). Tests use it to assert per-machine budgets sum to the
- * cap after *every* round and that rounds are monotone in time.
+ * Observer for arbitration rounds (called on both schedules, in
+ * virtual-time order). Tests use it to assert per-machine budgets sum
+ * to the cap after *every* round and that rounds are monotone in time.
  */
 using ArbitrationProbe = std::function<void(const ArbitrationSample &)>;
 
@@ -209,7 +207,7 @@ struct ServerOptions
      * application's production inputs.
      */
     std::vector<std::size_t> tenants;
-    /** Which engine drives serve(); see EngineMode. */
+    /** Which schedule the engine runs; see EngineMode. */
     EngineMode engine = EngineMode::Epoch;
     /** Event-engine tuning (ignored under EngineMode::Epoch). */
     EventEngineOptions event{};
@@ -218,9 +216,9 @@ struct ServerOptions
     /**
      * Structured trace sink (obs/trace_sink.h); null (default) records
      * nothing and costs one branch per would-be event. Borrowed — must
-     * outlive the server. Both engines call TraceSink::beginServe at
-     * the top of every serve, so a sink attached across several serves
-     * holds the last serve's trace.
+     * outlive the server. Every serve calls TraceSink::beginServe at
+     * its top, so a sink attached across several serves holds the
+     * last serve's trace.
      */
     obs::TraceSink *trace = nullptr;
 };

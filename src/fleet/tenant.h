@@ -1,16 +1,13 @@
 /**
  * @file
- * Tenant bookkeeping shared by the two fleet engines.
+ * Tenant bookkeeping for the fleet engine (event_engine.cc).
  *
- * The epoch loop (server.cc) and the discrete-event engine
- * (event_engine.cc) must construct, advance and release tenants — and
- * summarise finished runs — through *identical* code paths, or their
- * reports could drift apart in ways the differential tests would then
- * chase through two divergent copies. This header is that single
- * path: the serial admission record (Tenant), the worker-side run it
- * launches and releases (TenantRun, runSlice), the flat gate that
- * wires a tenant's lease into its session, and the report
- * finalisation that turns drained job records into fleet aggregates.
+ * Both schedules construct, advance and release tenants — and
+ * summarise finished runs — through these paths: the serial admission
+ * record (Tenant), the worker-side run it launches and releases
+ * (TenantRun, runSlice), the flat gate that wires a tenant's lease
+ * into its session, and the report finalisation that turns drained
+ * job records into fleet aggregates.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
 #define POWERDIAL_FLEET_TENANT_H
@@ -29,9 +26,9 @@
 namespace powerdial::fleet::detail {
 
 /**
- * Provision the serve's cluster the way both engines must: from the
- * catalog and class mix when a catalog is configured, else the legacy
- * homogeneous fleet of `machines` copies of `machine`.
+ * Provision the serve's cluster: from the catalog and class mix when
+ * a catalog is configured, else the legacy homogeneous fleet of
+ * `machines` copies of `machine`.
  */
 inline sim::Cluster
 makeCluster(const ServerOptions &options)
@@ -89,8 +86,9 @@ struct Tenant
     std::size_t job_class = 0;
     std::size_t arrival_epoch = 0;
     double arrival_time_s = 0.0; //!< Fleet virtual time at admission
-                                 //!< (event engine; the epoch loop
-                                 //!< derives times from arrival_epoch).
+                                 //!< (event schedule; the epoch
+                                 //!< schedule derives slice deadlines
+                                 //!< from arrival_epoch).
     /** Class configuration of the host (the cluster's catalog entry,
      *  which outlives the serve). */
     const sim::Machine::Config *host = nullptr;
@@ -107,9 +105,8 @@ struct Tenant
 };
 
 /**
- * Admit one tenant the way both engines must, serially and in job
- * order: identity, host, and the metrics probe seeded from the job's
- * identity and offered metadata. An offer with the kRoundRobinTenant
+ * Admit one tenant serially and in job order: identity, host, and the
+ * metrics probe seeded from the job's identity and offered metadata. An offer with the kRoundRobinTenant
  * sentinel resolves its input by the legacy round-robin-on-job-id
  * rule. Everything the run itself needs is left to runSlice().
  */
@@ -194,8 +191,8 @@ launchTenant(Tenant &t, const TenantSource &source)
 }
 
 /**
- * Advance @p t to its slice deadline on @p worker — the body of both
- * engines' only parallel section. The first slice launches the run;
+ * Advance @p t to its slice deadline on @p worker — the body of the
+ * engine's only parallel section. The first slice launches the run;
  * the slice that completes it commits the job's record on the worker
  * actually running it and releases the run there.
  */
@@ -224,8 +221,7 @@ runSlice(Tenant &t, const TenantSource &source, std::size_t worker)
 }
 
 /**
- * Serial admission of one batch of offered jobs, the way both engines
- * must run it: every offer goes through Scheduler::tryAdmit in arrival
+ * Serial admission of one batch of offered jobs: every offer goes through Scheduler::tryAdmit in arrival
  * order, and each decision is attributed through the tracer —
  * per-candidate placement costs (computed against the pre-placement
  * occupancy the policy actually ranked), then the admit (with the
@@ -267,7 +263,7 @@ admitOffers(Scheduler &scheduler,
 
 /**
  * Install one arbitration round's terms in a tenant's lease — the one
- * lease-rewrite path both engines share — and attribute the rewrite
+ * lease-rewrite path both schedules share — and attribute the rewrite
  * through the tracer.
  */
 inline void
@@ -294,7 +290,7 @@ writeLease(const sim::Cluster &cluster, Tenant &tenant,
  * percentiles, and the per-tenant / per-class / per-machine tables
  * (sorted by id; machine rows cover the whole cluster). All four
  * percentile paths go through the one latencyPercentiles helper. Both
- * engines call this with report.epochs / total counters already set.
+ * schedules call this with report.epochs / total counters already set.
  */
 inline void
 finalizeReport(FleetReport &report, std::vector<JobRecord> jobs,

@@ -67,9 +67,9 @@ class TraceSink
 
     /**
      * (Re)size to @p workers parallel shards plus the serial fleet
-     * shard, clearing all state — both engines call this at the top
-     * of a serve, so one sink attached to several serves in sequence
-     * holds the last serve's trace.
+     * shard, clearing all state — the fleet engine calls this at the
+     * top of a serve, so one sink attached to several serves in
+     * sequence holds the last serve's trace.
      */
     void beginServe(std::size_t workers);
 

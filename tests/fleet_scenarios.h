@@ -2,13 +2,13 @@
  * @file
  * Shared scenario machinery for the fleet engine tests.
  *
- * The differential harness (test_fleet_event_engine.cc) and the fleet
- * subsystem tests (test_fleet.cc) must agree on three things: how a
+ * The engine harness (test_fleet_event_engine.cc) and the fleet
+ * subsystem tests (test_fleet.cc) must agree on four things: how a
  * test pipeline is built, what "identical FleetReports" means (every
- * field, not a summary hash), and how a seeded scenario maps to server
- * options + an arrival trace. Keeping all three here means a
- * differential failure in one suite is reproducible from its seed in
- * the other.
+ * field, not a summary), how a report is digested for the golden
+ * tables (the same fields, hashed), and how a seeded scenario maps to
+ * server options + an arrival trace. Keeping all four here means a
+ * failure in one suite is reproducible from its seed in the other.
  */
 #ifndef POWERDIAL_TESTS_FLEET_SCENARIOS_H
 #define POWERDIAL_TESTS_FLEET_SCENARIOS_H
@@ -16,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -152,6 +155,173 @@ expectReportsIdentical(const FleetReport &a, const FleetReport &b)
     EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
     EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
     EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
+}
+
+/**
+ * FNV-1a (64-bit) accumulator. Integers and doubles are fed as their
+ * eight bytes, least significant first (doubles by bit pattern), so a
+ * digest is the same on every host.
+ */
+class Fnv1a
+{
+  public:
+    Fnv1a &
+    add(std::uint64_t value)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            state_ ^= (value >> (8 * byte)) & 0xffU;
+            state_ *= 1099511628211ULL;
+        }
+        return *this;
+    }
+
+    Fnv1a &
+    add(double value)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        return add(bits);
+    }
+
+    Fnv1a &
+    add(const std::vector<std::size_t> &values)
+    {
+        add(std::uint64_t{values.size()});
+        for (const std::size_t value : values)
+            add(std::uint64_t{value});
+        return *this;
+    }
+
+    Fnv1a &
+    add(std::string_view bytes)
+    {
+        for (const char c : bytes) {
+            state_ ^= static_cast<unsigned char>(c);
+            state_ *= 1099511628211ULL;
+        }
+        return *this;
+    }
+
+    std::uint64_t value() const { return state_; }
+
+  private:
+    std::uint64_t state_ = 14695981039346656037ULL;
+};
+
+/** FNV-1a digest of a byte string (e.g. an exported trace). */
+inline std::uint64_t
+bytesDigest(std::string_view bytes)
+{
+    return Fnv1a().add(bytes).value();
+}
+
+/**
+ * FNV-1a digest over every field expectReportsIdentical compares
+ * (row counts included), doubles by bit pattern: two reports share a
+ * digest exactly when they compare identical, barring collisions.
+ * The golden digest tables in the fleet suites pin EngineMode::Epoch
+ * output against captures of earlier commits this way.
+ */
+inline std::uint64_t
+reportDigest(const FleetReport &r)
+{
+    Fnv1a h;
+    h.add(std::uint64_t{r.epochs.size()});
+    for (const EpochStats &e : r.epochs)
+        h.add(std::uint64_t{e.epoch})
+            .add(std::uint64_t{e.arrivals})
+            .add(std::uint64_t{e.shed})
+            .add(std::uint64_t{e.completed})
+            .add(std::uint64_t{e.active})
+            .add(std::uint64_t{e.lease_generation})
+            .add(e.watts)
+            .add(e.fleet_rate)
+            .add(e.mean_qos_loss)
+            .add(e.max_pause_ratio);
+    h.add(std::uint64_t{r.jobs.size()});
+    for (const JobRecord &j : r.jobs)
+        h.add(std::uint64_t{j.job})
+            .add(std::uint64_t{j.tenant})
+            .add(std::uint64_t{j.epoch})
+            .add(std::uint64_t{j.machine})
+            .add(std::uint64_t{j.job_class})
+            .add(j.deadline_s)
+            .add(j.predicted_s)
+            .add(j.latency_s)
+            .add(j.mean_rate)
+            .add(j.qos_loss)
+            .add(j.energy_j)
+            .add(std::uint64_t{j.beats})
+            .add(std::uint64_t{j.lease_generation})
+            .add(std::uint64_t{j.lease_updates})
+            .add(j.service_s)
+            .add(j.queue_share_s)
+            .add(j.class_deficit_s)
+            .add(j.pause_s);
+    h.add(std::uint64_t{r.tenants.size()});
+    for (const TenantStats &t : r.tenants)
+        h.add(std::uint64_t{t.tenant})
+            .add(std::uint64_t{t.jobs})
+            .add(t.mean_qos_loss)
+            .add(t.mean_latency_s)
+            .add(t.p50_latency_s)
+            .add(t.p95_latency_s)
+            .add(t.p99_latency_s);
+    h.add(std::uint64_t{r.machines.size()});
+    for (const MachineStats &m : r.machines)
+        h.add(std::uint64_t{m.machine})
+            .add(std::uint64_t{m.machine_class})
+            .add(std::uint64_t{m.jobs})
+            .add(std::uint64_t{m.shed})
+            .add(m.p50_latency_s)
+            .add(m.p95_latency_s)
+            .add(m.p99_latency_s);
+    h.add(std::uint64_t{r.classes.size()});
+    for (const ClassStats &c : r.classes)
+        h.add(std::uint64_t{c.job_class})
+            .add(std::uint64_t{c.jobs})
+            .add(std::uint64_t{c.shed})
+            .add(c.p50_latency_s)
+            .add(c.p95_latency_s)
+            .add(c.p99_latency_s);
+    h.add(std::uint64_t{r.total_jobs})
+        .add(std::uint64_t{r.total_shed})
+        .add(std::uint64_t{r.drained_jobs})
+        .add(r.shed_by_machine)
+        .add(r.shed_by_class)
+        .add(r.mean_watts)
+        .add(r.mean_fleet_rate)
+        .add(r.mean_qos_loss)
+        .add(r.p50_latency_s)
+        .add(r.p95_latency_s)
+        .add(r.p99_latency_s);
+    return h.value();
+}
+
+/**
+ * Expect @p actual to equal the captured digest table @p golden
+ * entry for entry. On any mismatch the failure message prints the
+ * whole actual table as a C++ initializer, ready to paste back into
+ * the suite when an output change is intentional.
+ */
+inline void
+expectDigestsMatch(const std::vector<std::uint64_t> &actual,
+                   const std::vector<std::uint64_t> &golden)
+{
+    if (actual == golden)
+        return;
+    ::testing::Message table;
+    table << "captured digests:\n";
+    char hex[32];
+    for (const std::uint64_t digest : actual) {
+        std::snprintf(hex, sizeof hex, "0x%016llxULL,",
+                      static_cast<unsigned long long>(digest));
+        table << "    " << hex << "\n";
+    }
+    ADD_FAILURE() << table;
+    EXPECT_EQ(actual.size(), golden.size());
+    for (std::size_t i = 0; i < actual.size() && i < golden.size(); ++i)
+        EXPECT_EQ(actual[i], golden[i]) << "digest " << i;
 }
 
 /** One seeded differential scenario: options + an arrival trace. */

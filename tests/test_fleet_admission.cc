@@ -6,8 +6,9 @@
  *
  *   1. *Compatibility*: routing admission through an explicit
  *      QueueDepthAdmission is bit-identical to the Scheduler's default
- *      across the seeded scenario sweep, on both engines and at both
- *      thread counts — the seam itself changes nothing.
+ *      across the seeded scenario sweep, at both thread counts, and
+ *      both match the digests captured from the retired epoch loop —
+ *      the seam itself changes nothing.
  *   2. *Overflow follows the policy*: when the placement policy's pick
  *      is at the queue-depth bound, overflow re-asks the policy
  *      restricted to machines with room instead of silently reverting
@@ -16,8 +17,9 @@
  *   3. *Predictive properties*: the SLO-aware policy never sheds when
  *      every deadline is feasible, sheds the lowest-priority class
  *      first under overload, degenerates to queue-depth behaviour for
- *      deadline-free traffic, and stays bit-identical across engines
- *      and thread counts (the margin feedback is replay-safe).
+ *      deadline-free traffic, and stays bit-identical across thread
+ *      counts and to the retired epoch loop's capture (the margin
+ *      feedback is replay-safe).
  */
 #include <gtest/gtest.h>
 
@@ -32,22 +34,49 @@ namespace powerdial::fleet {
 namespace {
 
 using tests::FleetScenario;
+using tests::expectDigestsMatch;
 using tests::expectReportsIdentical;
 using tests::makeFleetScenario;
 using tests::makePipeline;
+using tests::reportDigest;
 
 FleetReport
 serveScenario(const tests::Pipeline &p, const FleetScenario &scenario,
-              EngineMode engine, bool epoch_compat = false,
-              std::size_t threads = 1)
+              EngineMode engine, std::size_t threads = 1)
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     Server server(p.app, p.table, p.model, options);
     return server.serve(scenario.arrivals);
 }
+
+// tests::reportDigest of the legacy synchronous epoch loop's reports,
+// captured at commit 2dbeb86 — the last commit where EngineMode::Epoch
+// ran that loop in Server::serve. To re-capture: check out 2dbeb86,
+// copy this file and fleet_scenarios.h over its tests/, build, and
+// run
+//   ./build/tests/test_fleet_admission --gtest_filter='AdmissionSeam.*:PredictiveAdmission.Bit*'
+// Each failing table prints the actual digests as an initializer.
+
+/** makeFleetScenario(seed=1..20), EngineMode::Epoch, in seed order. */
+const std::vector<std::uint64_t> kSeamSweepDigests = {
+    0x04c6fa76bac25733ULL, 0x5bef2f66959db2d8ULL,
+    0xd8d722176bfb2ae3ULL, 0x902466e80b893fa0ULL,
+    0x7a7b5b0f47418474ULL, 0x81464966f3cc6acaULL,
+    0x48d6843445a88d1eULL, 0xfabcdfaab82f2fe4ULL,
+    0xe539e1a38b0aee09ULL, 0xe17573068d114616ULL,
+    0xe6d2ed816546e1b1ULL, 0x4643ece76483c0abULL,
+    0xaac4e3a6d498c42fULL, 0xa11a4a0b198b200bULL,
+    0xcd296e492aa2d0dfULL, 0x2dc0dd790771bdf0ULL,
+    0xcbfb19cd20bc13daULL, 0xa6413ab60e15cd14ULL,
+    0xdf56f2e60a9c13c3ULL, 0x9188cf088bcff15cULL,
+};
+
+/** The flash-crowd predictive serve below, EngineMode::Epoch. */
+const std::vector<std::uint64_t> kOverloadDigest = {
+    0x5e34de7d4fcb4debULL,
+};
 
 // ---------------------------------------------------------------------
 // 1. The seam is invisible: explicit QueueDepthAdmission == default.
@@ -58,6 +87,7 @@ TEST(AdmissionSeam, ExplicitQueueDepthMatchesDefaultAcrossSweep)
     auto p = makePipeline();
     const double baseline_s = p.model.baselineSeconds();
     const auto inputs = p.app.productionInputs();
+    std::vector<std::uint64_t> digests;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE(::testing::Message()
                      << "reproduce with makeFleetScenario(seed="
@@ -69,20 +99,16 @@ TEST(AdmissionSeam, ExplicitQueueDepthMatchesDefaultAcrossSweep)
 
         const FleetReport base =
             serveScenario(p, scenario, EngineMode::Epoch);
+        digests.push_back(reportDigest(base));
         expectReportsIdentical(
             base, serveScenario(p, explicit_policy, EngineMode::Epoch));
         expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Epoch,
-                                false, 4));
-        expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Event,
-                                true));
-        expectReportsIdentical(
-            base, serveScenario(p, explicit_policy, EngineMode::Event,
-                                true, 4));
+            base,
+            serveScenario(p, explicit_policy, EngineMode::Epoch, 4));
         if (::testing::Test::HasFailure())
             break; // One seed's full diff is enough output.
     }
+    expectDigestsMatch(digests, kSeamSweepDigests);
 }
 
 // ---------------------------------------------------------------------
@@ -252,10 +278,10 @@ makeOverloadSchedule(const tests::Pipeline &p)
 TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
 {
     // The margin feedback (noteCompletion) and lease context
-    // (noteArbitration) are fed serially in virtual-time order by both
-    // engines, so an SLO-aware serve over a flash-crowd schedule must
-    // replay bit-identically at any thread count and across the
-    // epoch/event-compat pair.
+    // (noteArbitration) are fed serially in virtual-time order on both
+    // schedules, so an SLO-aware serve over a flash-crowd schedule
+    // must replay bit-identically at any thread count — and, on the
+    // epoch schedule, reproduce the retired epoch loop's report.
     auto p = makePipeline();
     const auto offers = makeOverloadSchedule(p);
 
@@ -266,22 +292,23 @@ TEST(PredictiveAdmission, BitIdenticalAcrossThreadsAndEngines)
     options.admission = makePredictiveAdmission();
     options.arbiter.cluster_cap_watts = 130.0;
 
-    auto serve = [&](EngineMode engine, bool compat,
-                     std::size_t threads) {
+    auto serve = [&](EngineMode engine, std::size_t threads) {
         ServerOptions o = options;
         o.engine = engine;
-        o.event.epoch_compat = compat;
         o.threads = threads;
         Server server(p.app, p.table, p.model, o);
         return server.serve(offers);
     };
 
-    const FleetReport base = serve(EngineMode::Epoch, false, 1);
+    const FleetReport base = serve(EngineMode::Epoch, 1);
     ASSERT_GT(base.total_jobs, 0u);
     ASSERT_GT(base.total_shed, 0u) << "flash crowd must overload";
-    expectReportsIdentical(base, serve(EngineMode::Epoch, false, 4));
-    expectReportsIdentical(base, serve(EngineMode::Event, true, 1));
-    expectReportsIdentical(base, serve(EngineMode::Event, true, 4));
+    expectDigestsMatch({reportDigest(base)}, kOverloadDigest);
+    expectReportsIdentical(base, serve(EngineMode::Epoch, 4));
+
+    const FleetReport event = serve(EngineMode::Event, 1);
+    ASSERT_GT(event.total_shed, 0u) << "flash crowd must overload";
+    expectReportsIdentical(event, serve(EngineMode::Event, 4));
 }
 
 } // namespace

@@ -1,23 +1,25 @@
 /**
  * @file
- * Differential harness for the discrete-event fleet engine.
+ * Golden and invariant harness for the discrete-event fleet engine.
  *
  * The engine's correctness story has two legs, both pinned here:
  *
- *   1. *Differential*: in epoch-compat mode the event engine must
- *      reproduce the legacy epoch loop's FleetReport bit for bit —
- *      every epoch row, every job record, every aggregate — across a
- *      randomized sweep of seeded scenarios (machines, tenant mixes,
- *      Poisson rates, queue depths, epoch fractions, all three
- *      arbiter policies). Failures print the reproducing seed.
+ *   1. *Golden*: on the epoch schedule (EngineMode::Epoch) the engine
+ *      must reproduce, bit for bit, the FleetReports of the retired
+ *      synchronous epoch loop — every epoch row, every job record,
+ *      every aggregate — across a randomized sweep of seeded
+ *      scenarios (machines, tenant mixes, Poisson rates, queue
+ *      depths, epoch fractions, all three arbiter policies). The loop
+ *      is gone, so its reports survive as captured digests
+ *      (tests::reportDigest); a mismatch prints the actual table.
  *
- *   2. *Invariants*: in full event mode (where reports legitimately
- *      differ from the epoch loop) every serve must still conserve
- *      jobs (admitted = completed + drained), keep per-machine power
- *      budgets summing to the cluster cap after every arbitration
- *      event, fire arbitrations at monotone non-decreasing times with
- *      strictly increasing lease generations, and stay bit-identical
- *      across thread counts.
+ *   2. *Invariants*: on the free-running schedule (EngineMode::Event,
+ *      whose reports legitimately differ) every serve must still
+ *      conserve jobs (admitted = completed + drained), keep
+ *      per-machine power budgets summing to the cluster cap after
+ *      every arbitration event, fire arbitrations at monotone
+ *      non-decreasing times with strictly increasing lease
+ *      generations, and stay bit-identical across thread counts.
  */
 #include <gtest/gtest.h>
 
@@ -35,19 +37,19 @@ namespace powerdial::fleet {
 namespace {
 
 using tests::FleetScenario;
+using tests::expectDigestsMatch;
 using tests::expectReportsIdentical;
 using tests::makeFleetScenario;
 using tests::makePipeline;
+using tests::reportDigest;
 
 /** Serve one scenario under the given engine mode. */
 FleetReport
 serveScenario(const tests::Pipeline &p, const FleetScenario &scenario,
-              EngineMode engine, bool epoch_compat = false,
-              std::size_t threads = 1)
+              EngineMode engine, std::size_t threads = 1)
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     Server server(p.app, p.table, p.model, options);
     return server.serve(scenario.arrivals);
@@ -63,17 +65,64 @@ completedAcrossEpochs(const FleetReport &report)
 }
 
 // ---------------------------------------------------------------------
-// Differential: epoch loop vs event engine in epoch-compat mode.
+// Golden: the epoch schedule reproduces the retired epoch loop.
+//
+// The digests below are tests::reportDigest of the legacy synchronous
+// epoch loop's reports, captured at commit 2dbeb86 — the last commit
+// where EngineMode::Epoch ran that loop in Server::serve. To
+// re-capture: check out 2dbeb86, copy this file and
+// fleet_scenarios.h over its tests/, build, and run
+//   ./build/tests/test_fleet_event_engine --gtest_filter='EventEngineDifferential.*'
+// Each failing table prints the actual digests as an initializer.
 // ---------------------------------------------------------------------
+
+/** makeFleetScenario(seed=42), EngineMode::Epoch. */
+const std::vector<std::uint64_t> kSpikeScenarioDigest = {
+    0x3b5459434f820b11ULL,
+};
+
+/** makeFleetScenario(seed=1..50), EngineMode::Epoch, in seed order. */
+const std::vector<std::uint64_t> kSweepDigests = {
+    0x04c6fa76bac25733ULL, 0x5bef2f66959db2d8ULL,
+    0xd8d722176bfb2ae3ULL, 0x902466e80b893fa0ULL,
+    0x7a7b5b0f47418474ULL, 0x81464966f3cc6acaULL,
+    0x48d6843445a88d1eULL, 0xfabcdfaab82f2fe4ULL,
+    0xe539e1a38b0aee09ULL, 0xe17573068d114616ULL,
+    0xe6d2ed816546e1b1ULL, 0x4643ece76483c0abULL,
+    0xaac4e3a6d498c42fULL, 0xa11a4a0b198b200bULL,
+    0xcd296e492aa2d0dfULL, 0x2dc0dd790771bdf0ULL,
+    0xcbfb19cd20bc13daULL, 0xa6413ab60e15cd14ULL,
+    0xdf56f2e60a9c13c3ULL, 0x9188cf088bcff15cULL,
+    0xc9e7e7beb054b35aULL, 0x9d556ed2f09d6eadULL,
+    0x5f0c27b43f05c36fULL, 0xff8889a9eee85800ULL,
+    0x82679734a481ee7eULL, 0x9ca2426b20b88fb8ULL,
+    0x621e6e4b030d5c43ULL, 0x023a7a1260ecaf2eULL,
+    0xb5a4d8e765f325ceULL, 0x4e1d060ac1585816ULL,
+    0xd29c8715005fb23dULL, 0x607beaebbdf96af0ULL,
+    0x791adaea55f02901ULL, 0x13361e6b1d6c5f2eULL,
+    0xb053f2b7167d4366ULL, 0x80a171cb1eb70a90ULL,
+    0xee8a847b8d46c76aULL, 0x9ec1f017a21dd877ULL,
+    0x566dc767ef4ff48eULL, 0x563fde6239597f38ULL,
+    0x1fd97c3957c2a661ULL, 0x3b5459434f820b11ULL,
+    0x69566038860514c8ULL, 0x0d0b8080d1122c98ULL,
+    0x159f375a69f7c712ULL, 0x95eb86ade7070655ULL,
+    0x77c6a74fbb91ccc0ULL, 0x0e047233265dcc3bULL,
+    0x920a0788b5134df3ULL, 0xb52b06f7e030f7e8ULL,
+};
+
+/** The shed-pressure scenario below, EngineMode::Epoch. */
+const std::vector<std::uint64_t> kShedScenarioDigest = {
+    0xf30c57576c66b69bULL,
+};
 
 TEST(EventEngineDifferential, CompatMatchesEpochOnSpikeScenario)
 {
     auto p = makePipeline();
     const FleetScenario scenario = makeFleetScenario(
         42, p.model.baselineSeconds(), p.app.productionInputs());
-    expectReportsIdentical(
-        serveScenario(p, scenario, EngineMode::Epoch),
-        serveScenario(p, scenario, EngineMode::Event, true));
+    expectDigestsMatch(
+        {reportDigest(serveScenario(p, scenario, EngineMode::Epoch))},
+        kSpikeScenarioDigest);
 }
 
 TEST(EventEngineDifferential, RandomizedSweepFiftySeeds)
@@ -81,27 +130,24 @@ TEST(EventEngineDifferential, RandomizedSweepFiftySeeds)
     auto p = makePipeline();
     const double baseline_s = p.model.baselineSeconds();
     const auto inputs = p.app.productionInputs();
+    std::vector<std::uint64_t> digests;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-        SCOPED_TRACE(::testing::Message()
-                     << "reproduce with makeFleetScenario(seed="
-                     << seed << ")");
         const FleetScenario scenario =
             makeFleetScenario(seed, baseline_s, inputs);
-        expectReportsIdentical(
-            serveScenario(p, scenario, EngineMode::Epoch),
-            serveScenario(p, scenario, EngineMode::Event, true));
-        if (::testing::Test::HasFailure())
-            break; // One seed's full diff is enough output.
+        digests.push_back(reportDigest(
+            serveScenario(p, scenario, EngineMode::Epoch)));
     }
+    // Entry i is makeFleetScenario(seed=i+1): a mismatch names the
+    // reproducing seed.
+    expectDigestsMatch(digests, kSweepDigests);
 }
 
 TEST(EventEngineDifferential, CompatShedAccountingMatchesEpochEngine)
 {
-    // Satellite: shed accounting under pressure. A 1-machine fleet
-    // with a tight queue bound and a hot trace must shed, and the
-    // sheds must agree between engines in total, per machine, per
-    // epoch row, and in lease-generation context (the full row
-    // comparison covers generation tags).
+    // Shed accounting under pressure. A 1-machine fleet with a tight
+    // queue bound and a hot trace must shed, and the sheds must match
+    // the epoch loop's in total, per machine, per epoch row, and in
+    // lease-generation context (the digest covers all of them).
     auto p = makePipeline();
     FleetScenario scenario = makeFleetScenario(
         7, p.model.baselineSeconds(), p.app.productionInputs());
@@ -112,12 +158,8 @@ TEST(EventEngineDifferential, CompatShedAccountingMatchesEpochEngine)
 
     const FleetReport epoch =
         serveScenario(p, scenario, EngineMode::Epoch);
-    const FleetReport compat =
-        serveScenario(p, scenario, EngineMode::Event, true);
     ASSERT_GT(epoch.total_shed, 0u);
-    EXPECT_EQ(epoch.total_shed, compat.total_shed);
-    EXPECT_EQ(epoch.shed_by_machine, compat.shed_by_machine);
-    expectReportsIdentical(epoch, compat);
+    expectDigestsMatch({reportDigest(epoch)}, kShedScenarioDigest);
 
     // Attribution is complete: per-machine sheds sum to the total.
     const std::size_t attributed =
@@ -132,12 +174,12 @@ TEST(EventEngineDifferential, CompatIsBitIdenticalAcrossThreadCounts)
     const FleetScenario scenario = makeFleetScenario(
         11, p.model.baselineSeconds(), p.app.productionInputs());
     expectReportsIdentical(
-        serveScenario(p, scenario, EngineMode::Event, true, 1),
-        serveScenario(p, scenario, EngineMode::Event, true, 4));
+        serveScenario(p, scenario, EngineMode::Epoch, 1),
+        serveScenario(p, scenario, EngineMode::Epoch, 4));
 }
 
 // ---------------------------------------------------------------------
-// Event-mode invariants (reports may differ from the epoch loop, but
+// Event-mode invariants (reports differ from the epoch schedule's, but
 // these properties must hold on every serve).
 // ---------------------------------------------------------------------
 
@@ -211,12 +253,13 @@ TEST(EventEngineInvariants, BudgetsSumToCapAfterEveryArbitration)
 TEST(EventEngineInvariants, ArbitrationEventsAreMonotone)
 {
     // Event timestamps never run backwards and every arbitration
-    // installs a fresh, strictly increasing lease generation — in
-    // both engine modes.
+    // installs a fresh, strictly increasing lease generation — on
+    // both schedules.
     auto p = makePipeline();
     const auto inputs = p.app.productionInputs();
-    for (const bool compat : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << "compat=" << compat);
+    for (const EngineMode engine :
+         {EngineMode::Epoch, EngineMode::Event}) {
+        SCOPED_TRACE(engine == EngineMode::Epoch ? "epoch" : "event");
         FleetScenario scenario = makeFleetScenario(
             21, p.model.baselineSeconds(), inputs);
         double last_time = -1.0;
@@ -231,8 +274,7 @@ TEST(EventEngineInvariants, ArbitrationEventsAreMonotone)
                 last_generation = sample.generation;
             };
         ServerOptions options = scenario.options;
-        options.engine = EngineMode::Event;
-        options.event.epoch_compat = compat;
+        options.engine = engine;
         Server server(p.app, p.table, p.model, options);
         server.serve(scenario.arrivals);
         EXPECT_GT(rounds, 0u);
@@ -248,8 +290,8 @@ TEST(EventEngineInvariants, EventModeIsBitIdenticalAcrossThreadCounts)
         const FleetScenario scenario = makeFleetScenario(
             seed, p.model.baselineSeconds(), inputs);
         expectReportsIdentical(
-            serveScenario(p, scenario, EngineMode::Event, false, 1),
-            serveScenario(p, scenario, EngineMode::Event, false, 4));
+            serveScenario(p, scenario, EngineMode::Event, 1),
+            serveScenario(p, scenario, EngineMode::Event, 4));
     }
 }
 
@@ -343,25 +385,24 @@ TEST(EventEngine, ValidatesEngineOptions)
     EXPECT_THROW(Server(p.app, p.table, p.model, options),
                  std::invalid_argument);
 
-    // Compat mode *is* the legacy schedule; a custom stride or
-    // quantum would contradict it.
-    options = ServerOptions{};
-    options.event.epoch_compat = true;
-    options.event.sample_stride = 2;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
-    options = ServerOptions{};
-    options.event.epoch_compat = true;
-    options.event.quantum_seconds = 0.5;
-    EXPECT_THROW(Server(p.app, p.table, p.model, options),
-                 std::invalid_argument);
+    // The epoch schedule fixes the quantum to one epoch and the sample
+    // stride to one row per epoch: valid event tuning is accepted but
+    // ignored, the report identical to the defaults'.
+    const FleetScenario scenario = makeFleetScenario(
+        17, p.model.baselineSeconds(), p.app.productionInputs());
+    FleetScenario tuned = scenario;
+    tuned.options.event.quantum_seconds = 0.5;
+    tuned.options.event.sample_stride = 2;
+    expectReportsIdentical(
+        serveScenario(p, scenario, EngineMode::Epoch),
+        serveScenario(p, tuned, EngineMode::Epoch));
 }
 
 TEST(EventEngine, IdleEpochsScheduleNoArbitration)
 {
     // The scale win in one assertion: a trace that goes quiet stops
     // producing arbitration rounds once the last tenant drains, while
-    // the epoch loop re-prices every epoch regardless.
+    // the epoch schedule re-prices every epoch regardless.
     auto p = makePipeline();
     ServerOptions options;
     options.machines = 2;
@@ -447,13 +488,14 @@ TEST(TenantLifecycle, WorkerBuiltRunsAreAllReleasedAndThreadInvariant)
     for (std::uint64_t seed : {3u, 19u, 42u}) {
         FleetScenario scenario =
             makeFleetScenario(seed, baseline_s, p.app.productionInputs());
-        for (const bool compat : {false, true}) {
+        for (const EngineMode engine :
+             {EngineMode::Epoch, EngineMode::Event}) {
             SCOPED_TRACE(::testing::Message()
-                         << "seed " << seed << (compat ? " compat"
-                                                       : " event"));
+                         << "seed " << seed
+                         << (engine == EngineMode::Epoch ? " epoch"
+                                                         : " event"));
             ServerOptions options = scenario.options;
-            options.engine = EngineMode::Event;
-            options.event.epoch_compat = compat;
+            options.engine = engine;
             FleetReport reports[2];
             const std::size_t threads[2] = {1, 4};
             for (int i = 0; i < 2; ++i) {

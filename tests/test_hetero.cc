@@ -324,7 +324,6 @@ serveScenario(const tests::Pipeline &p, FleetScenario scenario,
 {
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = engine == EngineMode::Event;
     options.threads = threads;
     if (through_catalog) {
         options.catalog =
@@ -339,7 +338,7 @@ TEST(HomogeneousCatalog, BitIdenticalAcrossSeededSweep)
 {
     // The catalog seam must be invisible for one-class fleets: every
     // report field bit-identical to the legacy configuration, under
-    // both engines and at more than one thread count.
+    // both schedules and at more than one thread count.
     auto p = makePipeline();
     const double baseline_s = p.model.baselineSeconds();
     const auto inputs = p.app.productionInputs();

@@ -3,9 +3,10 @@
  * The structured-trace subsystem (src/obs): sink fan-in determinism,
  * category/severity filtering, ring bounds, exporter well-formedness,
  * and the fleet differential — the trace byte stream out of a served
- * fleet must be identical at any thread count and across the epoch
- * and epoch-compat engines, and must carry enough decision context to
- * answer "why was job N shed?" from the file alone.
+ * fleet must be identical at any thread count, must match the bytes
+ * the retired epoch loop emitted on the epoch schedule, and must carry
+ * enough decision context to answer "why was job N shed?" from the
+ * file alone.
  *
  * The thread count for the parallel side comes from
  * POWERDIAL_TEST_THREADS (default 4), mirroring the calibration and
@@ -306,7 +307,8 @@ TEST(TraceSink, ParseCategories)
 
 // -------------------------------------------------------------------
 // Fleet differential: a served scenario's trace bytes must not depend
-// on the thread count or on which engine replays the epoch schedule.
+// on the thread count, and on the epoch schedule must match the bytes
+// the retired epoch loop emitted.
 // -------------------------------------------------------------------
 
 struct TracedServe
@@ -319,12 +321,11 @@ struct TracedServe
 
 TracedServe
 serveTraced(Pipeline &p, const FleetScenario &scenario,
-            EngineMode engine, bool epoch_compat, std::size_t threads)
+            EngineMode engine, std::size_t threads)
 {
     obs::TraceSink sink;
     ServerOptions options = scenario.options;
     options.engine = engine;
-    options.event.epoch_compat = epoch_compat;
     options.threads = threads;
     options.trace = &sink;
     Server server(p.app, p.table, p.model, options);
@@ -349,43 +350,51 @@ TEST(TraceDifferential, BytesIdenticalAcrossThreadCounts)
         SCOPED_TRACE(::testing::Message() << "seed " << seed);
         const auto scenario = makeFleetScenario(
             seed, baseline_s, p.app.productionInputs());
-        for (const bool compat : {false, true}) {
-            SCOPED_TRACE(::testing::Message()
-                         << (compat ? "event-compat" : "event"));
-            const auto serial = serveTraced(
-                p, scenario, EngineMode::Event, compat, 1);
-            const auto parallel = serveTraced(
-                p, scenario, EngineMode::Event, compat, threads);
+        for (const EngineMode engine :
+             {EngineMode::Epoch, EngineMode::Event}) {
+            SCOPED_TRACE(engine == EngineMode::Epoch ? "epoch"
+                                                     : "event");
+            const auto serial = serveTraced(p, scenario, engine, 1);
+            const auto parallel =
+                serveTraced(p, scenario, engine, threads);
             EXPECT_EQ(serial.chrome, parallel.chrome);
             EXPECT_EQ(serial.jsonl, parallel.jsonl);
             expectReportsIdentical(serial.report, parallel.report);
         }
-        const auto serial =
-            serveTraced(p, scenario, EngineMode::Epoch, false, 1);
-        const auto parallel = serveTraced(p, scenario,
-                                          EngineMode::Epoch, false,
-                                          threads);
-        EXPECT_EQ(serial.chrome, parallel.chrome);
-        EXPECT_EQ(serial.jsonl, parallel.jsonl);
     }
 }
+
+// Digests of the legacy synchronous epoch loop's traced serves of
+// makeFleetScenario(seed=5..8): per seed, tests::reportDigest of the
+// report, then tests::bytesDigest of the chrome and of the jsonl
+// export. Captured at commit 2dbeb86 — the last commit where
+// EngineMode::Epoch ran that loop in Server::serve. To re-capture:
+// check out 2dbeb86, copy this file and fleet_scenarios.h over its
+// tests/, build, and run
+//   ./build/tests/test_obs_trace --gtest_filter='TraceDifferential.EpochAndCompat*'
+// A failing table prints the actual digests as an initializer.
+const std::vector<std::uint64_t> kEpochTraceDigests = {
+    0x7a7b5b0f47418474ULL, 0x8d3e7e86bb6efcf7ULL, 0x6ef665a893583c2fULL,
+    0x81464966f3cc6acaULL, 0x9054b575eb7c60faULL, 0xa30ad1db47a626dcULL,
+    0x48d6843445a88d1eULL, 0xb51bb60eed1ac946ULL, 0x2a2cb92cc9af85bfULL,
+    0xfabcdfaab82f2fe4ULL, 0x2fca65c15ade087fULL, 0x03493f0e1ba3b41eULL,
+};
 
 TEST(TraceDifferential, EpochAndCompatEnginesEmitIdenticalTraces)
 {
     auto p = makePipeline();
     const double baseline_s = p.model.baselineSeconds();
+    std::vector<std::uint64_t> digests;
     for (std::uint64_t seed = 5; seed <= 8; ++seed) {
-        SCOPED_TRACE(::testing::Message() << "seed " << seed);
         const auto scenario = makeFleetScenario(
             seed, baseline_s, p.app.productionInputs());
         const auto epoch =
-            serveTraced(p, scenario, EngineMode::Epoch, false, 1);
-        const auto compat =
-            serveTraced(p, scenario, EngineMode::Event, true, 1);
-        EXPECT_EQ(epoch.chrome, compat.chrome);
-        EXPECT_EQ(epoch.jsonl, compat.jsonl);
-        expectReportsIdentical(epoch.report, compat.report);
+            serveTraced(p, scenario, EngineMode::Epoch, 1);
+        digests.push_back(reportDigest(epoch.report));
+        digests.push_back(bytesDigest(epoch.chrome));
+        digests.push_back(bytesDigest(epoch.jsonl));
     }
+    expectDigestsMatch(digests, kEpochTraceDigests);
 }
 
 TEST(TraceDifferential, ExportsAreWellFormed)
@@ -394,7 +403,7 @@ TEST(TraceDifferential, ExportsAreWellFormed)
     const auto scenario = makeFleetScenario(
         11, p.model.baselineSeconds(), p.app.productionInputs());
     const auto traced =
-        serveTraced(p, scenario, EngineMode::Event, false, 1);
+        serveTraced(p, scenario, EngineMode::Event, 1);
     ASSERT_FALSE(traced.records.empty());
     EXPECT_TRUE(JsonChecker::valid(traced.chrome));
 
@@ -416,7 +425,7 @@ TEST(TraceDifferential, StreamsAreMonotoneAndDrainIsSorted)
     const auto scenario = makeFleetScenario(
         12, p.model.baselineSeconds(), p.app.productionInputs());
     const auto traced =
-        serveTraced(p, scenario, EngineMode::Epoch, false, 1);
+        serveTraced(p, scenario, EngineMode::Epoch, 1);
     ASSERT_FALSE(traced.records.empty());
 
     // Global drain order: sorted by (time_s, stream, seq), no ties.

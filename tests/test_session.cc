@@ -411,82 +411,14 @@ TEST(SessionGate, PausePerBusyMeetsAnAveragePowerBudget)
 }
 
 // ---------------------------------------------------------------------
-// Gate composition helpers.
+// Duty-cycle pauses from gates.
 // ---------------------------------------------------------------------
-
-TEST(GateHelpers, ComposeRunsEveryGateInOrderOnOneContext)
-{
-    std::vector<int> order;
-    BeatGate composed = composeGates(
-        {[&order](BeatGateContext &ctx) {
-             order.push_back(1);
-             ctx.pause_per_busy += 0.25;
-         },
-         [&order](BeatGateContext &ctx) {
-             order.push_back(2);
-             ctx.pause_per_busy += 0.5;
-         }});
-    ASSERT_TRUE(static_cast<bool>(composed));
-    sim::Machine machine;
-    BeatGateContext ctx{0, machine};
-    composed(ctx);
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_DOUBLE_EQ(ctx.pause_per_busy, 0.75);
-}
-
-TEST(GateHelpers, ComposeSkipsNullGates)
-{
-    std::size_t calls = 0;
-    BeatGate composed = composeGates(
-        nullptr, [&calls](BeatGateContext &) { ++calls; });
-    ASSERT_TRUE(static_cast<bool>(composed));
-    sim::Machine machine;
-    BeatGateContext ctx{0, machine};
-    composed(ctx);
-    EXPECT_EQ(calls, 1u);
-
-    // All-null composition collapses to "no gate".
-    EXPECT_FALSE(static_cast<bool>(composeGates(nullptr, nullptr)));
-    EXPECT_FALSE(static_cast<bool>(composeGates({})));
-}
-
-TEST(GateHelpers, DutyCycleGateAddsFixedRatio)
-{
-    BeatGate gate = makeDutyCycleGate(0.4);
-    ASSERT_TRUE(static_cast<bool>(gate));
-    sim::Machine machine;
-    BeatGateContext ctx{0, machine};
-    ctx.pause_per_busy = 0.1; // Composes additively with prior gates.
-    gate(ctx);
-    EXPECT_DOUBLE_EQ(ctx.pause_per_busy, 0.5);
-
-    // A zero ratio is "no gate"; a negative one is a caller bug.
-    EXPECT_FALSE(static_cast<bool>(makeDutyCycleGate(0.0)));
-    EXPECT_THROW(makeDutyCycleGate(-0.1), std::invalid_argument);
-    EXPECT_THROW(makeDutyCycleGate(std::function<double()>{}),
-                 std::invalid_argument);
-}
-
-TEST(GateHelpers, DynamicDutyCycleGateSamplesEveryBeat)
-{
-    // The lease-driven form: an external agent retunes the ratio
-    // between beats and the next beat already honours it.
-    double ratio = 0.0;
-    BeatGate gate = makeDutyCycleGate([&ratio]() { return ratio; });
-    sim::Machine machine;
-    BeatGateContext first{0, machine};
-    gate(first);
-    EXPECT_DOUBLE_EQ(first.pause_per_busy, 0.0);
-    ratio = 0.3;
-    BeatGateContext second{1, machine};
-    gate(second);
-    EXPECT_DOUBLE_EQ(second.pause_per_busy, 0.3);
-}
 
 TEST(GateHelpers, ComposedDutyCycleGatesSlowARunTogether)
 {
-    // End to end: two composed duty-cycle gates behave like one gate
-    // with the summed ratio (knobs off isolates the pause effect).
+    // End to end: pause contributions accumulate on the beat context,
+    // so two gates adding 0.25 each behave like one gate adding 0.5
+    // (knobs off isolates the pause effect).
     auto p = makePipeline();
     const auto timedRun = [&p](BeatGate gate) {
         auto clone = p.app.clone();
@@ -498,10 +430,19 @@ TEST(GateHelpers, ComposedDutyCycleGatesSlowARunTogether)
         sim::Machine machine;
         return session.run(2, machine).seconds;
     };
+    const auto addPause = [](double ratio) {
+        return [ratio](BeatGateContext &ctx) {
+            ctx.pause_per_busy += ratio;
+        };
+    };
     const double plain = timedRun(nullptr);
-    const double composed = timedRun(composeGates(
-        makeDutyCycleGate(0.25), makeDutyCycleGate(0.25)));
-    const double summed = timedRun(makeDutyCycleGate(0.5));
+    const double composed =
+        timedRun([first = addPause(0.25),
+                  second = addPause(0.25)](BeatGateContext &ctx) {
+            first(ctx);
+            second(ctx);
+        });
+    const double summed = timedRun(addPause(0.5));
     EXPECT_DOUBLE_EQ(composed, summed);
     EXPECT_NEAR(composed / plain, 1.5, 1e-9);
 }
