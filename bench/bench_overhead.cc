@@ -22,6 +22,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <sstream>
+#include <vector>
 
 #include "apps/swaptions/pricer.h"
 #include "core/actuation_strategy.h"
@@ -30,6 +32,7 @@
 #include "core/knob.h"
 #include "core/session.h"
 #include "heartbeats/heartbeat.h"
+#include "obs/trace_json.h"
 #include "obs/trace_sink.h"
 
 using namespace powerdial;
@@ -326,6 +329,89 @@ BM_Session256Beats_TraceProbeRing(benchmark::State &state)
     }
 }
 BENCHMARK(BM_Session256Beats_TraceProbeRing);
+
+// ---------------------------------------------------------------------------
+// Trace exporters (obs/trace_json.h): one op = exporting 1024 fixed
+// synthetic records into a reused in-memory stream, so time/op / 1024
+// is the exporter's host ns/record. Records cycle through every
+// TraceKind with non-integral payload doubles (the formatter's slow
+// side). No ceiling: the number is for reading, not gating.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kExportRecords = 1024;
+
+std::vector<obs::TraceRecord>
+exportRecords()
+{
+    constexpr std::size_t kKinds =
+        static_cast<std::size_t>(obs::TraceKind::Lease) + 1;
+    std::vector<obs::TraceRecord> records(kExportRecords);
+    for (std::size_t i = 0; i < kExportRecords; ++i) {
+        obs::TraceRecord &r = records[i];
+        const double x = static_cast<double>(i) + 1.0 / 3.0;
+        r.time_s = 0.001 * x;
+        r.kind = static_cast<obs::TraceKind>(i % kKinds);
+        r.stream = i % 17 + 1;
+        r.seq = i;
+        r.job = i;
+        r.offer = i;
+        r.tenant = i % 8;
+        r.machine = i % 4;
+        r.job_class = i % 3;
+        r.beat = i;
+        r.window_rate = 30.0 + x / 7.0;
+        r.error = 0.1 - x / 9000.0;
+        r.commanded = 1.0 + x / 1100.0;
+        r.knob_gain = 1.0 + x / 1300.0;
+        r.combination = i % 40;
+        r.pstate = i % 5;
+        r.predicted_s = 0.05 + x / 3e4;
+        r.deadline_s = 0.2 + x / 7e4;
+        r.margin = 1.1 + x / 1e5;
+        r.class_factor = 1.0 + 0.15 * static_cast<double>(i % 3);
+        r.cost = x / 11.0;
+        r.cause = i % 2 == 0 ? "slo" : "capacity";
+        r.generation = i / 9;
+        r.share = 1.0 / static_cast<double>(i % 6 + 3);
+        r.budget_watts = 120.0 + x / 13.0;
+        r.pstate_cap = i % 4;
+        r.pause_ratio = x / 5e3;
+        r.latency_s = 0.05 + x / 2e4;
+        r.qos_loss = x / 9e4;
+        r.service_s = 0.04 + x / 3e4;
+        r.queue_share_s = x / 6e4;
+        r.class_deficit_s = x / 8e4;
+        r.pause_s = x / 9e4;
+        r.beats = 256;
+    }
+    return records;
+}
+
+static void
+BM_TraceExportChrome(benchmark::State &state)
+{
+    const auto records = exportRecords();
+    std::ostringstream os;
+    for (auto _ : state) {
+        os.seekp(0);
+        obs::writeChromeTrace(os, records);
+        benchmark::DoNotOptimize(os.tellp());
+    }
+}
+BENCHMARK(BM_TraceExportChrome);
+
+static void
+BM_TraceExportJsonl(benchmark::State &state)
+{
+    const auto records = exportRecords();
+    std::ostringstream os;
+    for (auto _ : state) {
+        os.seekp(0);
+        obs::writeJsonl(os, records);
+        benchmark::DoNotOptimize(os.tellp());
+    }
+}
+BENCHMARK(BM_TraceExportJsonl);
 
 } // namespace
 

@@ -4,49 +4,35 @@
  * exporters.
  *
  * Both exporters promise byte-identical output for identical inputs,
- * so every double must render the same way everywhere: the shortest
- * decimal string that round-trips back to the exact bit pattern
- * (tried at increasing precision, the way modern to_chars shortest
- * formatting behaves, but portable to every toolchain the repo
- * supports). Locale-independent by construction — snprintf with "%.*g"
- * on the "C"-locale decimal point only; the validator in the tests
- * rejects anything else.
+ * so every double must render the same way everywhere: the "%.*g"
+ * rendering (C locale) at the smallest precision that parses back to
+ * the exact bit pattern, with integers below 9e15 as plain "%.0f"
+ * digits. The implementation is std::to_chars/std::from_chars
+ * (obs/format.cc): the shortest scientific rendering gives the digit
+ * count L, no precision below L can round-trip, so the search runs
+ * to_chars(general, p) — defined as printf("%.*g", p) — from p = L
+ * upward and almost always stops at L. Locale-independent by
+ * construction; the validator in the tests rejects anything else, and
+ * tests/test_obs_format.cc pins the output against the snprintf/strtod
+ * precision loop it replaced.
  */
 #ifndef POWERDIAL_OBS_FORMAT_H
 #define POWERDIAL_OBS_FORMAT_H
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 namespace powerdial::obs {
 
 /**
- * The shortest "%.*g" rendering of @p value that strtod parses back
- * bit-exactly. Non-finite values render as 0 (JSON has no literal for
+ * Append the shortest round-tripping "%.*g" rendering of @p value to
+ * @p out. Non-finite values render as 0 (JSON has no literal for
  * them; no virtual-clock quantity in this repo is legitimately
  * non-finite by the time it is exported).
  */
-inline std::string
-formatDouble(double value)
-{
-    if (!std::isfinite(value))
-        return "0";
-    char buffer[40];
-    // Integers below 2^53 print as plain digits ("10", not the
-    // equally round-trippable but unreadable "1e+01").
-    if (value == std::floor(value) && std::fabs(value) < 9.0e15) {
-        std::snprintf(buffer, sizeof buffer, "%.0f", value);
-        return buffer;
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-        if (std::strtod(buffer, nullptr) == value)
-            break;
-    }
-    return buffer;
-}
+void appendDouble(std::string &out, double value);
+
+/** appendDouble into a fresh string. */
+std::string formatDouble(double value);
 
 } // namespace powerdial::obs
 

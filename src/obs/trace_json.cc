@@ -1,6 +1,6 @@
 #include "obs/trace_json.h"
 
-#include <set>
+#include <charconv>
 #include <string>
 
 #include "obs/format.h"
@@ -22,32 +22,35 @@ severityName(Severity severity)
     return "?";
 }
 
-/** Tiny deterministic JSON object builder: fields render in call
- *  order, numbers through formatDouble, no whitespace. */
+/** Append the decimal digits of @p value to @p out. */
+void
+appendCount(std::string &out, std::size_t value)
+{
+    char buffer[24];
+    out.append(buffer,
+               std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+/** Tiny deterministic JSON object writer: appends straight into a
+ *  caller-owned buffer, fields in call order, numbers through
+ *  appendDouble, no whitespace. done() closes the object. */
 class Obj
 {
   public:
-    Obj &
-    raw(const char *key, const std::string &value)
-    {
-        body_ += first_ ? "\"" : ",\"";
-        first_ = false;
-        body_ += key;
-        body_ += "\":";
-        body_ += value;
-        return *this;
-    }
+    explicit Obj(std::string &out) : out_(out) { out_ += '{'; }
 
     Obj &
     num(const char *key, double value)
     {
-        return raw(key, formatDouble(value));
+        appendDouble(this->key(key), value);
+        return *this;
     }
 
     Obj &
     count(const char *key, std::size_t value)
     {
-        return raw(key, std::to_string(value));
+        appendCount(this->key(key), value);
+        return *this;
     }
 
     /** A size_t identity field; kNoIndex means absent. */
@@ -63,17 +66,46 @@ class Obj
     Obj &
     str(const char *key, const char *value)
     {
-        return raw(key, "\"" + std::string(value) + "\"");
+        this->key(key) += '"';
+        out_ += value;
+        out_ += '"';
+        return *this;
     }
 
-    std::string
-    done() const
+    /** An escape-free "<prefix> <n>" label ("job 3", "tenant 0"). */
+    Obj &
+    label(const char *key, const char *prefix, std::size_t n)
     {
-        return body_ + "}";
+        this->key(key) += '"';
+        out_ += prefix;
+        out_ += ' ';
+        appendCount(out_, n);
+        out_ += '"';
+        return *this;
     }
+
+    /** Open a nested object under @p key; done() it before this. */
+    Obj
+    object(const char *key)
+    {
+        this->key(key);
+        return Obj(out_);
+    }
+
+    void done() { out_ += '}'; }
 
   private:
-    std::string body_ = "{";
+    std::string &
+    key(const char *key)
+    {
+        out_ += first_ ? "\"" : ",\"";
+        first_ = false;
+        out_ += key;
+        out_ += "\":";
+        return out_;
+    }
+
+    std::string &out_;
     bool first_ = true;
 };
 
@@ -151,26 +183,20 @@ onFleetTrack(const TraceRecord &r)
             (kCatAdmission | kCatPlacement | kCatArbitration)) != 0;
 }
 
-std::string
-chromeTs(double time_s)
+void
+appendChromeEvent(std::string &out, const TraceRecord &r)
 {
-    return formatDouble(time_s * 1e6);
-}
-
-std::string
-chromeEvent(const TraceRecord &r)
-{
-    Obj obj;
+    Obj obj(out);
     if (r.kind == TraceKind::JobStart || r.kind == TraceKind::JobEnd) {
         // One nestable async span per job: overlapping jobs of one
         // tenant render as overlapping slices on the tenant track.
-        obj.str("name", ("job " + std::to_string(r.job)).c_str())
+        obj.label("name", "job", r.job)
             .str("ph", r.kind == TraceKind::JobStart ? "b" : "e")
             .str("cat", "job")
             .count("id", r.job)
             .count("pid", 2)
             .count("tid", r.tenant == kNoIndex ? 0 : r.tenant + 1)
-            .raw("ts", chromeTs(r.time_s));
+            .num("ts", r.time_s * 1e6);
     } else {
         const bool fleet = onFleetTrack(r);
         obj.str("name", kindName(r.kind))
@@ -180,31 +206,66 @@ chromeEvent(const TraceRecord &r)
             .count("tid",
                    fleet ? (r.machine == kNoIndex ? 0 : r.machine + 1)
                          : (r.tenant == kNoIndex ? 0 : r.tenant + 1))
-            .raw("ts", chromeTs(r.time_s));
+            .num("ts", r.time_s * 1e6);
     }
-    Obj args;
+    Obj args = obj.object("args");
     args.index("job", r.job)
         .index("offer", r.offer)
         .index("class", r.job_class);
     if (onFleetTrack(r))
         args.index("tenant", r.tenant).index("machine", r.machine);
     appendPayload(args, r);
-    obj.raw("args", args.done());
-    return obj.done();
+    args.done();
+    obj.done();
 }
 
-std::string
-chromeMeta(const char *what, std::size_t pid, std::size_t tid,
-           const std::string &name)
+/** Metadata naming process @p pid "<prefix>" (track == kNoIndex) or
+ *  its thread tid = track + 1 "<prefix> <track>". */
+void
+appendChromeMeta(std::string &out, std::size_t pid, std::size_t track,
+                 const char *prefix)
 {
-    Obj obj;
-    obj.str("name", what).str("ph", "M").count("pid", pid);
-    if (tid != kNoIndex)
-        obj.count("tid", tid);
-    Obj args;
-    args.str("name", name.c_str());
-    obj.raw("args", args.done());
-    return obj.done();
+    const bool process = track == kNoIndex;
+    Obj obj(out);
+    obj.str("name", process ? "process_name" : "thread_name")
+        .str("ph", "M")
+        .count("pid", pid);
+    if (!process)
+        obj.count("tid", track + 1);
+    Obj args = obj.object("args");
+    if (process)
+        args.str("name", prefix);
+    else
+        args.label("name", prefix, track);
+    args.done();
+    obj.done();
+}
+
+/** Mark @p id (unless kNoIndex) in a flat seen-vector. */
+void
+markSeen(std::vector<bool> &seen, std::size_t id)
+{
+    if (id == kNoIndex)
+        return;
+    if (id >= seen.size())
+        seen.resize(id + 1);
+    seen[id] = true;
+}
+
+/** Writers append records into one reused buffer and hand it to the
+ *  stream in chunks of about this size, so memory stays flat however
+ *  long the trace is. */
+constexpr std::size_t kChunkBytes = 64 * 1024;
+
+/** Write @p buffer to @p os and clear it, once it holds at least
+ *  @p min_bytes. */
+void
+flush(std::ostream &os, std::string &buffer, std::size_t min_bytes = 0)
+{
+    if (buffer.size() < min_bytes)
+        return;
+    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+    buffer.clear();
 }
 
 } // namespace
@@ -213,41 +274,49 @@ void
 writeChromeTrace(std::ostream &os,
                  const std::vector<TraceRecord> &records)
 {
-    // Deterministic track naming: the sorted sets of machine and
-    // tenant ids that actually appear.
-    std::set<std::size_t> machines;
-    std::set<std::size_t> tenants;
+    // Deterministic track naming: the machine and tenant ids that
+    // actually appear, in increasing order.
+    std::vector<bool> machines;
+    std::vector<bool> tenants;
     for (const TraceRecord &r : records) {
-        if (r.machine != kNoIndex)
-            machines.insert(r.machine);
-        if (r.tenant != kNoIndex)
-            tenants.insert(r.tenant);
+        markSeen(machines, r.machine);
+        markSeen(tenants, r.tenant);
     }
 
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    const char *separator = "\n";
-    auto put = [&](const std::string &event) {
-        os << separator << event;
-        separator = ",\n";
+    std::string buffer;
+    buffer.reserve(2 * kChunkBytes);
+    buffer += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
+    appendChromeMeta(buffer, 1, kNoIndex, "fleet");
+    buffer += ",\n";
+    appendChromeMeta(buffer, 2, kNoIndex, "tenants");
+    const auto nameTracks = [&buffer](const std::vector<bool> &seen,
+                                      std::size_t pid,
+                                      const char *prefix) {
+        for (std::size_t id = 0; id < seen.size(); ++id) {
+            if (seen[id]) {
+                buffer += ",\n";
+                appendChromeMeta(buffer, pid, id, prefix);
+            }
+        }
     };
-    put(chromeMeta("process_name", 1, kNoIndex, "fleet"));
-    put(chromeMeta("process_name", 2, kNoIndex, "tenants"));
-    for (std::size_t machine : machines)
-        put(chromeMeta("thread_name", 1, machine + 1,
-                       "machine " + std::to_string(machine)));
-    for (std::size_t tenant : tenants)
-        put(chromeMeta("thread_name", 2, tenant + 1,
-                       "tenant " + std::to_string(tenant)));
-    for (const TraceRecord &record : records)
-        put(chromeEvent(record));
-    os << "\n]}\n";
+    nameTracks(machines, 1, "machine");
+    nameTracks(tenants, 2, "tenant");
+    for (const TraceRecord &record : records) {
+        buffer += ",\n";
+        appendChromeEvent(buffer, record);
+        flush(os, buffer, kChunkBytes);
+    }
+    buffer += "\n]}\n";
+    flush(os, buffer);
 }
 
 void
 writeJsonl(std::ostream &os, const std::vector<TraceRecord> &records)
 {
+    std::string buffer;
+    buffer.reserve(2 * kChunkBytes);
     for (const TraceRecord &r : records) {
-        Obj obj;
+        Obj obj(buffer);
         obj.num("t", r.time_s)
             .str("kind", kindName(r.kind))
             .str("sev", severityName(r.severity))
@@ -259,8 +328,11 @@ writeJsonl(std::ostream &os, const std::vector<TraceRecord> &records)
             .index("machine", r.machine)
             .index("class", r.job_class);
         appendPayload(obj, r);
-        os << obj.done() << "\n";
+        obj.done();
+        buffer += '\n';
+        flush(os, buffer, kChunkBytes);
     }
+    flush(os, buffer);
 }
 
 } // namespace powerdial::obs

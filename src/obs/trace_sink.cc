@@ -93,22 +93,33 @@ TraceSink::recorded() const
 std::vector<TraceRecord>
 TraceSink::drain()
 {
+    // Sort compact keys, not ~300-byte records, then gather each
+    // record once. (time_s, stream, seq) is unique per record, so the
+    // order is the same total order as sorting the records themselves.
+    struct Key
+    {
+        double time_s;
+        std::size_t stream;
+        std::size_t seq;
+        const TraceRecord *record;
+    };
+    std::vector<Key> keys;
+    keys.reserve(recorded());
+    for (const Shard &shard : shards_)
+        for (const TraceRecord &r : shard.records)
+            keys.push_back({r.time_s, r.stream, r.seq, &r});
+    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
+        return std::tie(a.time_s, a.stream, a.seq) <
+            std::tie(b.time_s, b.stream, b.seq);
+    });
     std::vector<TraceRecord> merged;
-    merged.reserve(recorded());
+    merged.reserve(keys.size());
+    for (const Key &key : keys)
+        merged.push_back(*key.record);
     for (Shard &shard : shards_) {
-        // Unwrap the ring: oldest surviving record first.
-        for (std::size_t i = shard.next; i < shard.records.size(); ++i)
-            merged.push_back(shard.records[i]);
-        for (std::size_t i = 0; i < shard.next; ++i)
-            merged.push_back(shard.records[i]);
         shard.records.clear();
         shard.next = 0;
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const TraceRecord &a, const TraceRecord &b) {
-                  return std::tie(a.time_s, a.stream, a.seq) <
-                      std::tie(b.time_s, b.stream, b.seq);
-              });
     return merged;
 }
 

@@ -16,8 +16,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +278,121 @@ TEST(TraceSink, RingKeepsNewestAndCountsDropped)
     EXPECT_EQ(records[0].seq, 4u);
     EXPECT_EQ(records[1].seq, 5u);
     EXPECT_EQ(records[2].seq, 6u);
+}
+
+/** Every field of two records, compared one by one. */
+void
+expectSameRecord(const obs::TraceRecord &a, const obs::TraceRecord &b,
+                 std::size_t i)
+{
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(a.time_s, b.time_s);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.severity, b.severity);
+    EXPECT_EQ(a.stream, b.stream);
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.job, b.job);
+    EXPECT_EQ(a.offer, b.offer);
+    EXPECT_EQ(a.tenant, b.tenant);
+    EXPECT_EQ(a.machine, b.machine);
+    EXPECT_EQ(a.job_class, b.job_class);
+    EXPECT_EQ(a.beat, b.beat);
+    EXPECT_EQ(a.window_rate, b.window_rate);
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.commanded, b.commanded);
+    EXPECT_EQ(a.knob_gain, b.knob_gain);
+    EXPECT_EQ(a.combination, b.combination);
+    EXPECT_EQ(a.pstate, b.pstate);
+    EXPECT_EQ(a.predicted_s, b.predicted_s);
+    EXPECT_EQ(a.deadline_s, b.deadline_s);
+    EXPECT_EQ(a.margin, b.margin);
+    EXPECT_EQ(a.class_factor, b.class_factor);
+    EXPECT_EQ(a.cost, b.cost);
+    EXPECT_EQ(a.cause, b.cause);
+    EXPECT_EQ(a.generation, b.generation);
+    EXPECT_EQ(a.share, b.share);
+    EXPECT_EQ(a.budget_watts, b.budget_watts);
+    EXPECT_EQ(a.pstate_cap, b.pstate_cap);
+    EXPECT_EQ(a.pause_ratio, b.pause_ratio);
+    EXPECT_EQ(a.latency_s, b.latency_s);
+    EXPECT_EQ(a.qos_loss, b.qos_loss);
+    EXPECT_EQ(a.service_s, b.service_s);
+    EXPECT_EQ(a.queue_share_s, b.queue_share_s);
+    EXPECT_EQ(a.class_deficit_s, b.class_deficit_s);
+    EXPECT_EQ(a.pause_s, b.pause_s);
+    EXPECT_EQ(a.beats, b.beats);
+}
+
+TEST(TraceSink, DrainEqualsFullRecordSort)
+{
+    // Three worker shards plus the fleet plane; timestamps drawn from
+    // eight values so most records tie on time_s and the order rests
+    // on (stream, seq); a ring small enough that busy shards wrap.
+    constexpr std::size_t kWorkers = 3;
+    constexpr std::size_t kStreams = 12;
+    obs::TraceConfig config;
+    config.ring_capacity = 150;
+    obs::TraceSink sink(config);
+    sink.beginServe(kWorkers);
+
+    std::mt19937_64 rng(0xd2a1'0001);
+    std::vector<std::size_t> next_seq(kStreams + 1, 0);
+    // The records each shard saw, in emission order; the fleet plane
+    // is shard kWorkers.
+    std::vector<std::vector<obs::TraceRecord>> emitted(kWorkers + 1);
+    for (std::size_t i = 0; i < 1200; ++i) {
+        obs::TraceRecord record;
+        record.time_s = 0.25 * static_cast<double>(rng() % 8);
+        record.kind = static_cast<obs::TraceKind>(rng() % 9);
+        record.severity = static_cast<obs::Severity>(rng() % 3);
+        record.job = i;
+        record.tenant = rng() % 5;
+        record.machine = rng() % 4;
+        record.beat = i * 3;
+        record.window_rate = static_cast<double>(rng() % 1000) / 7.0;
+        record.predicted_s = static_cast<double>(i) * 0.001;
+        record.cost = static_cast<double>(rng() % 100) / 3.0;
+        record.generation = rng() % 17;
+        record.latency_s = static_cast<double>(rng() % 500) / 9.0;
+        record.beats = i;
+        // A stream is one job's observer; like a job moving between
+        // slices, its records land on whichever worker drew it.
+        const std::size_t stream = rng() % (kStreams + 1);
+        if (stream == 0) {
+            sink.emitFleet(record);
+            record.stream = 0;
+            record.seq = next_seq[0]++;
+            emitted[kWorkers].push_back(record);
+            continue;
+        }
+        record.stream = stream;
+        record.seq = next_seq[stream]++;
+        const std::size_t worker = rng() % kWorkers;
+        sink.emit(worker, record);
+        emitted[worker].push_back(record);
+    }
+    EXPECT_GT(sink.dropped(), 0u);
+
+    // The reference: each shard's newest ring_capacity records, sorted
+    // whole with the (time_s, stream, seq) comparator.
+    std::vector<obs::TraceRecord> expected;
+    for (const auto &shard : emitted) {
+        const std::size_t keep =
+            std::min(shard.size(), config.ring_capacity);
+        expected.insert(expected.end(), shard.end() - keep, shard.end());
+    }
+    EXPECT_LT(expected.size(), 1200u);
+    std::sort(expected.begin(), expected.end(),
+              [](const obs::TraceRecord &a, const obs::TraceRecord &b) {
+                  return std::tie(a.time_s, a.stream, a.seq) <
+                      std::tie(b.time_s, b.stream, b.seq);
+              });
+
+    const auto drained = sink.drain();
+    ASSERT_EQ(drained.size(), expected.size());
+    for (std::size_t i = 0; i < drained.size(); ++i)
+        expectSameRecord(drained[i], expected[i], i);
+    EXPECT_EQ(sink.recorded(), 0u);
 }
 
 TEST(TraceSink, WantsFiltersByCategoryAndSeverity)
