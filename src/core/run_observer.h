@@ -7,8 +7,7 @@
  * heartbeat, and run end. The pre-Session runtime baked a BeatTrace
  * vector into every run; that collection is now one observer
  * (BeatTraceRecorder) among many, and a run with no observers pays no
- * per-beat recording cost at all. A streaming CSV exporter
- * (core::CsvTraceObserver in trace_export.h) is another.
+ * per-beat recording cost at all.
  *
  * Delivery contract: observers are notified in registration order for
  * every event. An exception thrown by an observer aborts the run and
@@ -48,6 +47,8 @@ struct ControlledRun
     double mean_qos_loss_estimate = 0.0; //!< Work-weighted calibrated
                                          //!< QoS loss of installed combos.
     std::size_t beat_count = 0; //!< Heartbeats (units) processed.
+    double mean_rate = 0.0;  //!< Mean sliding-window heart rate over
+                             //!< the run's beats, in beat order.
 
     // Where `seconds` went, additively (up to FP rounding):
     // seconds ~= service_s + queue_share_s + class_deficit_s + pause_s.

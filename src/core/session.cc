@@ -285,11 +285,14 @@ Session::advanceUntil(double deadline_s)
         state.qos_work += 1.0;
         ++state.result.beat_count;
         ++state.unit;
+        // Summed here, divided at run end (ControlledRun::mean_rate).
+        const double window_rate = state.monitor->windowRate();
+        state.result.mean_rate += window_rate;
 
         if (!observers_.empty()) {
             BeatTrace bt;
             bt.time_s = machine.now();
-            bt.window_rate = state.monitor->windowRate();
+            bt.window_rate = window_rate;
             bt.normalized_perf = state.target > 0.0
                 ? bt.window_rate / state.target
                 : 0.0;
@@ -311,6 +314,9 @@ Session::advanceUntil(double deadline_s)
     result.output = app_->output();
     result.mean_qos_loss_estimate = state.qos_work > 0.0
         ? state.qos_weighted / state.qos_work
+        : 0.0;
+    result.mean_rate = result.beat_count > 0
+        ? result.mean_rate / static_cast<double>(result.beat_count)
         : 0.0;
     state_.reset();
 

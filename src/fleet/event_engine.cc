@@ -42,9 +42,9 @@ struct Event
 
 /**
  * One serve() worth of discrete-event state. Both schedules share the
- * cluster, scheduler, arbiter, fan-out engine, metrics hub, admission
- * and tenant advancement; they differ only in which events they
- * schedule and how tenant slice deadlines are set.
+ * cluster, scheduler, arbiter, fan-out engine, admission, tenant
+ * advancement and job-record filing; they differ only in which events
+ * they schedule and how tenant slice deadlines are set.
  */
 class EventServe
 {
@@ -62,7 +62,7 @@ class EventServe
                                       options.queue_depth,
                                       options.admission, &model}),
           arbiter_(options.arbiter), engine_(options.threads),
-          hub_(engine_.workers()), tracer_(options.trace),
+          tracer_(options.trace),
           qos_feedback_(cluster_.size(), 0.0),
           machine_qos_(cluster_.size(), 0.0),
           machine_jobs_(cluster_.size(), 0)
@@ -94,12 +94,14 @@ class EventServe
             tenant->slice_deadline_s =
                 std::numeric_limits<double>::infinity();
         runSlices();
+        for (const auto &tenant : active_)
+            file(*tenant);
         active_.clear();
 
         report_.total_jobs = next_job_;
         report_.shed_by_machine = scheduler_.shedByMachine();
         report_.shed_by_class = scheduler_.shedByClass();
-        detail::finalizeReport(report_, hub_.drain(), cluster_);
+        detail::finalizeReport(report_, cluster_);
         return std::move(report_);
     }
 
@@ -156,10 +158,10 @@ class EventServe
         std::size_t kept = 0;
         for (auto &tenant : active_) {
             if (tenant->done) {
-                const JobRecord &record = tenant->probe->record();
+                const JobRecord &record = file(*tenant);
                 scheduler_.noteCompletion(record.latency_s,
                                           record.predicted_s);
-                scheduler_.release(tenant->machine_index);
+                scheduler_.release(record.machine);
                 ++pending_.completed;
             } else {
                 active_[kept++] = std::move(tenant);
@@ -184,7 +186,7 @@ class EventServe
             // Tenant-local, in this float form (the epoch-schedule
             // goldens pin its rounding): NOT t(e+1) - arrival_time.
             tenant->slice_deadline_s =
-                static_cast<double>(e - tenant->arrival_epoch + 1) *
+                static_cast<double>(e - tenant->record.epoch + 1) *
                 epoch_s_;
         }
     }
@@ -196,14 +198,14 @@ class EventServe
         double qos_sum = 0.0;
         std::size_t finished = 0;
         for (const auto &tenant : active_) {
-            const std::size_t beats = tenant->probe->record().beats;
+            const std::size_t beats = tenant->beats();
             pending_.fleet_rate +=
                 static_cast<double>(beats - tenant->beats_reported) /
                 epoch_s_;
             tenant->beats_reported = beats;
             if (tenant->done) {
-                const JobRecord &record = tenant->probe->record();
-                noteFinished(tenant->machine_index, record.qos_loss);
+                const JobRecord &record = tenant->record;
+                noteFinished(record.machine, record.qos_loss);
                 qos_sum += record.qos_loss;
                 ++finished;
             }
@@ -307,10 +309,10 @@ class EventServe
     /**
      * Sweep tenants that finished during the latest advancement:
      * count them into the open stats window, feed their QoS loss back
-     * to the arbiter, release their machine slots, and destroy them
-     * (their records are already committed in the hub) — then ask for
-     * a re-price, since occupancy changed. Idempotent; any same-time
-     * handler may call it before the Completion event pops.
+     * to the arbiter, release their machine slots, file their records
+     * and destroy them — then ask for a re-price, since occupancy
+     * changed. Idempotent; any same-time handler may call it before
+     * the Completion event pops.
      */
     void
     processCompletions()
@@ -318,15 +320,15 @@ class EventServe
         std::size_t kept = 0;
         for (auto &tenant : active_) {
             if (tenant->done) {
-                const JobRecord &record = tenant->probe->record();
+                const JobRecord &record = file(*tenant);
                 ++window_.completed;
                 window_beats_ += record.beats - tenant->beats_reported;
-                noteFinished(tenant->machine_index, record.qos_loss);
+                noteFinished(record.machine, record.qos_loss);
                 window_qos_sum_ += record.qos_loss;
                 ++window_finished_;
                 scheduler_.noteCompletion(record.latency_s,
                                           record.predicted_s);
-                scheduler_.release(tenant->machine_index);
+                scheduler_.release(record.machine);
                 tenant.reset();
             } else {
                 active_[kept++] = std::move(tenant);
@@ -396,7 +398,7 @@ class EventServe
             std::min(start + stride, offers_.size());
 
         for (const auto &tenant : active_) {
-            const std::size_t beats = tenant->probe->record().beats;
+            const std::size_t beats = tenant->beats();
             window_beats_ += beats - tenant->beats_reported;
             tenant->beats_reported = beats;
         }
@@ -505,12 +507,25 @@ class EventServe
 
         for (const auto &[admission, offer] : placements) {
             active_.push_back(detail::makeTenant(
-                options_, hub_, cluster_, next_job_, admission.machine,
-                e, static_cast<double>(e) * epoch_s_, *offer,
+                options_, cluster_, next_job_, admission.machine, e,
+                static_cast<double>(e) * epoch_s_, *offer,
                 admission.predicted_s));
             ++next_job_;
         }
+        report_.jobs.resize(next_job_);
         return placements.size();
+    }
+
+    /**
+     * Release-time filing of a finished tenant's record into its
+     * job-id slot of the report. Job ids are dense and every release
+     * runs in the serial section, so the slot assignment is the whole
+     * merge: report.jobs is in job order at any thread count.
+     */
+    const JobRecord &
+    file(const Tenant &tenant)
+    {
+        return report_.jobs[tenant.record.job] = tenant.record;
     }
 
     /**
@@ -536,7 +551,6 @@ class EventServe
     Scheduler scheduler_;
     PowerArbiter arbiter_;
     core::FanoutEngine engine_;
-    MetricsHub hub_;
     FleetTracer tracer_;
 
     sim::VirtualClock clock_;

@@ -1,27 +1,20 @@
 /**
  * @file
- * Aggregated metrics pipeline for the fleet serving subsystem.
+ * Job records and latency percentiles for fleet reports.
  *
- * Every tenant session already streams per-beat events through the
- * core::RunObserver seam; the MetricsHub implements that observer
- * interface once, for the whole fleet, instead of each driver rolling
- * its own recorder. Tenants run concurrently on core::FanoutEngine
- * workers, so the hub keeps one shard per worker: a probe (the
- * per-tenant observer adapter) accumulates its tenant's beats locally
- * and commits one finished JobRecord into its worker's shard — each
- * shard is written by exactly one worker, so the fan-in is lock-free.
- * drain() merges the shards sorted by job id, which makes every
- * aggregate (fleet heart rate, total watts, per-tenant QoS loss,
- * latency percentiles) bit-identical at any thread count.
+ * Each tenant owns the JobRecord of its job: its identity is seeded
+ * at admission, its lease counters are written by the tenant's beat
+ * gate, and the rest is filled from the core::ControlledRun the
+ * session returns when the run completes. The engine files the record
+ * into FleetReport::jobs by job id when it releases the tenant —
+ * always in its serial section, so the report is bit-identical at any
+ * thread count.
  */
 #ifndef POWERDIAL_FLEET_METRICS_HUB_H
 #define POWERDIAL_FLEET_METRICS_HUB_H
 
 #include <cstddef>
 #include <vector>
-
-#include "core/run_observer.h"
-#include "sim/machine.h"
 
 namespace powerdial::fleet {
 
@@ -57,103 +50,6 @@ struct JobRecord
      */
     std::size_t lease_generation = 0;
     std::size_t lease_updates = 0;
-};
-
-/**
- * Lock-free fan-in of tenant-session events into per-worker shards.
- */
-class MetricsHub : public core::RunObserver
-{
-  public:
-    /**
-     * The per-tenant observer adapter: attach one probe to one tenant
-     * session, then finish() it after the run to commit the job's
-     * record into the probe's worker shard.
-     */
-    class Probe final : public core::RunObserver
-    {
-      public:
-        void onRunStart(const core::RunStartEvent &event) override;
-        void onBeat(const core::BeatEvent &event) override;
-        void onRunEnd(const core::ControlledRun &run) override;
-
-        /**
-         * Commit the finished job to the hub, folding in what only
-         * the caller can see: the machine the job ran on (for energy)
-         * and the run's QoS estimate. Call exactly once, after the
-         * session's run completed.
-         */
-        void finish(const sim::Machine &machine);
-
-        /**
-         * Like finish(), but commit into @p worker's shard instead of
-         * the probe's minting worker. A persistent tenant's epoch
-         * slices may run on a different pool worker each epoch; the
-         * slice that completes the run commits into the shard of the
-         * worker actually running it, keeping the fan-in lock-free.
-         */
-        void finishOn(std::size_t worker, const sim::Machine &machine);
-
-        /**
-         * Tag the record with the arbitration-lease terms the tenant's
-         * gate just applied (called once per lease re-read).
-         */
-        void noteLease(std::size_t generation)
-        {
-            record_.lease_generation = generation;
-            ++record_.lease_updates;
-        }
-
-        /** The record as accumulated so far (complete after finish). */
-        const JobRecord &record() const { return record_; }
-
-      private:
-        friend class MetricsHub;
-        Probe(MetricsHub &hub, std::size_t worker, JobRecord seed)
-            : hub_(&hub), worker_(worker), record_(seed)
-        {
-        }
-
-        MetricsHub *hub_;
-        std::size_t worker_;
-        JobRecord record_;
-        double rate_sum_ = 0.0;
-        bool done_ = false;
-    };
-
-    /** @param workers Shard count; one per pool worker (>= 1). */
-    explicit MetricsHub(std::size_t workers);
-
-    /**
-     * Mint the probe for one tenant job about to run on @p worker.
-     * Identity fields (job, tenant, epoch, machine) are carried in
-     * @p seed.
-     */
-    Probe probe(std::size_t worker, const JobRecord &seed);
-
-    /** Records committed so far (across all shards). */
-    std::size_t committed() const;
-
-    /**
-     * Merge and clear all shards, returning the records sorted by job
-     * id — a deterministic order regardless of which workers ran
-     * which tenants. Call from the coordinating thread only, with no
-     * tenant in flight.
-     */
-    std::vector<JobRecord> drain();
-
-    // One hub can also observe a single session directly (it is a
-    // RunObserver); events land in shard 0 as job 0. The fleet path
-    // uses probes instead.
-    void onRunStart(const core::RunStartEvent &event) override;
-    void onBeat(const core::BeatEvent &event) override;
-    void onRunEnd(const core::ControlledRun &run) override;
-
-  private:
-    void commit(std::size_t worker, const JobRecord &record);
-
-    std::vector<std::vector<JobRecord>> shards_;
-    Probe self_probe_;
 };
 
 /**

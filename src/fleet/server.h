@@ -11,11 +11,11 @@
  * duty-cycle pauses delivered through the session beat gate); every
  * admitted job runs a full closed-loop core::Session on a private
  * App::clone whose machine models its host's core share and frequency
- * cap; and the MetricsHub fans all tenants' observer events into
- * per-worker shards, feeding per-machine QoS loss back to the arbiter
- * for the next epoch.
+ * cap; and each finished tenant's JobRecord is filed into the report
+ * by job id, its QoS loss fed back per machine to the arbiter for the
+ * next epoch.
  *
- *   arrivals ─▶ Scheduler ─▶ persistent tenant Sessions ─▶ MetricsHub
+ *   arrivals ─▶ Scheduler ─▶ persistent tenant Sessions ─▶ JobRecords
  *                  ▲               ▲ lease re-read            │
  *                  │ shed /        │ (per-beat gate)          │ per-
  *                  │ release   ArbitrationLease               │ machine
@@ -41,8 +41,8 @@
  * Determinism follows the repo's replay discipline: all placement and
  * arbitration decisions are serial; only the mutually independent
  * tenant slices fan out through core::FanoutEngine, and their records
- * merge in job order — the full report is bit-identical at any thread
- * count (tests/test_fleet.cc pins this).
+ * are filed by job id in the serial section — the full report is
+ * bit-identical at any thread count (tests/test_fleet.cc pins this).
  */
 #ifndef POWERDIAL_FLEET_SERVER_H
 #define POWERDIAL_FLEET_SERVER_H
@@ -280,7 +280,7 @@ struct ClassStats
 struct FleetReport
 {
     std::vector<EpochStats> epochs;
-    std::vector<JobRecord> jobs;     //!< Sorted by job id.
+    std::vector<JobRecord> jobs;     //!< Indexed by job id.
     std::vector<TenantStats> tenants;//!< Sorted by tenant id.
     std::size_t total_jobs = 0;      //!< Jobs admitted (and served).
     std::size_t total_shed = 0;      //!< Jobs shed by admission control.

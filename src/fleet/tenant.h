@@ -4,10 +4,11 @@
  *
  * Both schedules construct, advance and release tenants — and
  * summarise finished runs — through these paths: the serial admission
- * record (Tenant), the worker-side run it launches and releases
- * (TenantRun, runSlice), the flat gate that wires a tenant's lease
- * into its session, and the report finalisation that turns drained
- * job records into fleet aggregates.
+ * record (Tenant, which owns its job's JobRecord), the worker-side run
+ * it launches and releases (TenantRun, runSlice), the flat gate that
+ * wires a tenant's lease into its session, and the report
+ * finalisation that turns the filed job records into fleet
+ * aggregates.
  */
 #ifndef POWERDIAL_FLEET_TENANT_H
 #define POWERDIAL_FLEET_TENANT_H
@@ -70,73 +71,73 @@ struct TenantRun
 };
 
 /**
- * One admitted job, persistent across epochs: its identity, lease and
- * metrics probe are set up serially at admission and live until the
- * coordinator releases the job; its TenantRun lives only while the
- * run is in flight. The lease is rewritten by the arbiter at every
- * arbitration round. Tenants are heap-allocated and never move, so
- * the session's pointers into the run (and the gate's pointer back
- * into the tenant) stay valid for the whole run.
+ * One admitted job, persistent across epochs: its job record (which
+ * carries its identity) and lease are set up serially at admission
+ * and live until the coordinator releases the job and files the
+ * record; its TenantRun lives only while the run is in flight. The
+ * lease is rewritten by the arbiter at every arbitration round.
+ * Tenants are heap-allocated and never move, so the session's
+ * pointers into the run (and the gate's pointer back into the tenant)
+ * stay valid for the whole run.
  */
 struct Tenant
 {
-    std::size_t job = 0;
-    std::size_t input = 0;
-    std::size_t machine_index = 0;
-    std::size_t job_class = 0;
-    std::size_t arrival_epoch = 0;
+    /** Identity (job, tenant input, epoch, machine, class, deadline,
+     *  prediction) from admission; lease counters from the gate; the
+     *  rest from the completed run. Complete once done is set. */
+    JobRecord record;
     double arrival_time_s = 0.0; //!< Fleet virtual time at admission
                                  //!< (event schedule; the epoch
                                  //!< schedule derives slice deadlines
-                                 //!< from arrival_epoch).
+                                 //!< from record.epoch).
     /** Class configuration of the host (the cluster's catalog entry,
      *  which outlives the serve). */
     const sim::Machine::Config *host = nullptr;
 
     ArbitrationLease lease;
-    std::size_t applied_generation = 0; //!< Gate-side: last applied.
-    double slice_deadline_s = 0.0;      //!< Tenant-local slice end.
-    std::size_t beats_reported = 0;     //!< Beats already attributed
-                                        //!< to earlier epochs' rates.
+    double slice_deadline_s = 0.0;  //!< Tenant-local slice end.
+    std::size_t beats_reported = 0; //!< Beats already attributed to
+                                    //!< earlier epochs' rates.
 
-    std::optional<MetricsHub::Probe> probe;
     std::optional<TenantRun> run; //!< Worker-side; see TenantRun.
     bool done = false;
+
+    /** Beats the job has emitted so far. */
+    std::size_t
+    beats() const
+    {
+        if (done)
+            return record.beats;
+        return run.has_value() ? run->session->unitsProcessed() : 0;
+    }
 };
 
 /**
- * Admit one tenant serially and in job order: identity, host, and the
- * metrics probe seeded from the job's identity and offered metadata. An offer with the kRoundRobinTenant
- * sentinel resolves its input by the legacy round-robin-on-job-id
- * rule. Everything the run itself needs is left to runSlice().
+ * Admit one tenant serially and in job order: host, and the job
+ * record seeded from the job's identity and offered metadata. An
+ * offer with the kRoundRobinTenant sentinel resolves its input by the
+ * legacy round-robin-on-job-id rule. Everything the run itself needs
+ * is left to runSlice().
  */
 inline std::unique_ptr<Tenant>
-makeTenant(const ServerOptions &options, MetricsHub &hub,
-           const sim::Cluster &cluster, std::size_t job,
-           std::size_t machine_index, std::size_t arrival_epoch,
-           double arrival_time_s, const workload::OfferedJob &offer,
-           double predicted_s)
+makeTenant(const ServerOptions &options, const sim::Cluster &cluster,
+           std::size_t job, std::size_t machine_index,
+           std::size_t arrival_epoch, double arrival_time_s,
+           const workload::OfferedJob &offer, double predicted_s)
 {
     auto t = std::make_unique<Tenant>();
-    t->job = job;
-    t->input = offer.tenant == kRoundRobinTenant
+    JobRecord &record = t->record;
+    record.job = job;
+    record.tenant = offer.tenant == kRoundRobinTenant
         ? options.tenants[job % options.tenants.size()]
         : offer.tenant;
-    t->machine_index = machine_index;
-    t->job_class = offer.job_class;
-    t->arrival_epoch = arrival_epoch;
+    record.epoch = arrival_epoch;
+    record.machine = machine_index;
+    record.job_class = offer.job_class;
+    record.deadline_s = offer.deadline_s;
+    record.predicted_s = predicted_s;
     t->arrival_time_s = arrival_time_s;
     t->host = &cluster.configOf(machine_index);
-
-    JobRecord seed;
-    seed.job = t->job;
-    seed.tenant = t->input;
-    seed.epoch = arrival_epoch;
-    seed.machine = t->machine_index;
-    seed.job_class = offer.job_class;
-    seed.deadline_s = offer.deadline_s;
-    seed.predicted_s = predicted_s;
-    t->probe.emplace(hub.probe(0, seed));
     return t;
 }
 
@@ -154,7 +155,7 @@ struct TenantSource
  * machine, trace probe, and the session gated by one flat gate that
  * runs, in order, the caller's gate, the lease re-read (changed terms
  * applied within one beat of an arbiter rewrite, the applied
- * generation reported to the metrics probe), and the lease-driven
+ * generation counted into the job record), and the lease-driven
  * duty-cycle pause.
  */
 inline void
@@ -165,8 +166,9 @@ launchTenant(Tenant &t, const TenantSource &source)
     if (options.trace != nullptr)
         run.trace.emplace(*options.trace,
                           obs::TraceProbe::Identity{
-                              t.job, t.input, t.machine_index,
-                              t.job_class, t.arrival_time_s});
+                              t.record.job, t.record.tenant,
+                              t.record.machine, t.record.job_class,
+                              t.arrival_time_s});
 
     core::SessionOptions session_options = options.session;
     Tenant *tenant = &t;
@@ -176,12 +178,13 @@ launchTenant(Tenant &t, const TenantSource &source)
         if (caller)
             caller(ctx);
         const ArbitrationLease &lease = tenant->lease;
-        if (tenant->applied_generation != lease.generation) {
+        JobRecord &record = tenant->record;
+        if (record.lease_generation != lease.generation) {
             ctx.machine.setPStateCap(lease.pstate_cap);
             ctx.machine.setShare(lease.share);
             ctx.machine.setUtilization(lease.utilization);
-            tenant->applied_generation = lease.generation;
-            tenant->probe->noteLease(lease.generation);
+            record.lease_generation = lease.generation;
+            ++record.lease_updates;
         }
         if (lease.pause_ratio > 0.0)
             ctx.pause_per_busy += lease.pause_ratio;
@@ -193,8 +196,9 @@ launchTenant(Tenant &t, const TenantSource &source)
 /**
  * Advance @p t to its slice deadline on @p worker — the body of the
  * engine's only parallel section. The first slice launches the run;
- * the slice that completes it commits the job's record on the worker
- * actually running it and releases the run there.
+ * the slice that completes it fills in the job's record from the
+ * completed run and releases the run on the worker actually running
+ * it.
  */
 inline void
 runSlice(Tenant &t, const TenantSource &source, std::size_t worker)
@@ -208,16 +212,25 @@ runSlice(Tenant &t, const TenantSource &source, std::size_t worker)
     if (run.trace)
         run.trace->beginSlice(worker);
     if (first) {
-        run.session->observe(*t.probe);
         if (run.trace)
             run.session->observe(*run.trace);
-        run.session->start(t.input, run.machine);
+        run.session->start(t.record.tenant, run.machine);
     }
-    if (run.session->advanceUntil(t.slice_deadline_s).has_value()) {
-        t.done = true;
-        t.probe->finishOn(worker, run.machine);
-        t.run.reset();
-    }
+    const auto result = run.session->advanceUntil(t.slice_deadline_s);
+    if (!result.has_value())
+        return;
+    JobRecord &record = t.record;
+    record.latency_s = result->seconds;
+    record.mean_rate = result->mean_rate;
+    record.qos_loss = result->mean_qos_loss_estimate;
+    record.energy_j = run.machine.energyJoules();
+    record.beats = result->beat_count;
+    record.service_s = result->service_s;
+    record.queue_share_s = result->queue_share_s;
+    record.class_deficit_s = result->class_deficit_s;
+    record.pause_s = result->pause_s;
+    t.done = true;
+    t.run.reset();
 }
 
 /**
@@ -271,33 +284,30 @@ writeLease(const sim::Cluster &cluster, Tenant &tenant,
            std::size_t generation, std::size_t epoch,
            const ArbitrationDecision &decision, FleetTracer &tracer)
 {
-    const auto load = cluster.loadOf(
-        tenant.machine_index, cluster.activeOn(tenant.machine_index));
+    const std::size_t machine = tenant.record.machine;
+    const auto load = cluster.loadOf(machine, cluster.activeOn(machine));
     tenant.lease.generation = generation;
     tenant.lease.epoch = epoch;
     tenant.lease.share = load.per_instance_share;
     tenant.lease.utilization = load.utilization;
-    tenant.lease.pstate_cap = decision.pstate_cap[tenant.machine_index];
-    tenant.lease.pause_ratio =
-        decision.pause_ratio[tenant.machine_index];
-    tracer.lease(tenant.job, tenant.input, tenant.machine_index,
+    tenant.lease.pstate_cap = decision.pstate_cap[machine];
+    tenant.lease.pause_ratio = decision.pause_ratio[machine];
+    tracer.lease(tenant.record.job, tenant.record.tenant, machine,
                  tenant.lease);
 }
 
 /**
- * Fold the drained job records and accumulated epoch rows into the
- * report's aggregates: epoch means, overall QoS mean, latency
- * percentiles, and the per-tenant / per-class / per-machine tables
- * (sorted by id; machine rows cover the whole cluster). All four
+ * Fold the filed job records (report.jobs, indexed by job id) and the
+ * accumulated epoch rows into the report's aggregates: epoch means,
+ * overall QoS mean, latency percentiles, and the per-tenant /
+ * per-class / per-machine tables (sorted by id; machine rows cover
+ * the whole cluster). All four
  * percentile paths go through the one latencyPercentiles helper. Both
  * schedules call this with report.epochs / total counters already set.
  */
 inline void
-finalizeReport(FleetReport &report, std::vector<JobRecord> jobs,
-               const sim::Cluster &cluster)
+finalizeReport(FleetReport &report, const sim::Cluster &cluster)
 {
-    report.jobs = std::move(jobs);
-
     double watts_sum = 0.0, rate_sum = 0.0;
     for (const EpochStats &stats : report.epochs) {
         watts_sum += stats.watts;

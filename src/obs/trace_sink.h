@@ -2,11 +2,10 @@
  * @file
  * Deterministic fan-in of structured trace events.
  *
- * The TraceSink reuses the MetricsHub shard discipline: one record
- * vector per fan-out worker, each written by exactly one worker (no
- * locks), plus one extra shard for the serial fleet plane (admission,
- * placement, arbitration, leases — all emitted from the engines'
- * serial sections). drain() concatenates the shards and sorts by
+ * The TraceSink keeps one record vector per fan-out worker, each
+ * written by exactly one worker (no locks), plus one extra shard for
+ * the serial fleet plane (admission, placement, arbitration, leases —
+ * all emitted from the engines' serial sections). drain() concatenates the shards and sorts by
  * (time_s, stream, seq) — a total order that never mentions the
  * worker, so the drained sequence (and therefore every exporter's
  * byte stream) is identical at any thread count.

@@ -8,6 +8,8 @@ namespace powerdial::workload {
 std::size_t
 poissonDeviate(Rng &rng, double lambda)
 {
+    if (!std::isfinite(lambda))
+        throw std::invalid_argument("poissonDeviate: non-finite mean");
     if (lambda < 0.0)
         throw std::invalid_argument("poissonDeviate: negative mean");
     // Knuth's method needs exp(-lambda) > 0; past ~708, exp

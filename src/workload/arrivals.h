@@ -62,6 +62,9 @@ std::size_t poissonArrivalAt(const PoissonArrivalParams &params,
  * up to lambda = 700, the rounded normal approximation N(lambda,
  * lambda) above it (where Knuth's exp(-lambda) underflows and the
  * approximation error is far below the distribution's own spread).
+ *
+ * @throws std::invalid_argument if @p lambda is negative or not
+ *         finite (NaN or infinite).
  */
 std::size_t poissonDeviate(Rng &rng, double lambda);
 

@@ -485,7 +485,16 @@ TEST(SessionStepping, SlicedRunIsBitIdenticalToOneShotRun)
     EXPECT_EQ(done->seconds, reference.seconds);
     EXPECT_EQ(done->mean_qos_loss_estimate,
               reference.mean_qos_loss_estimate);
+    EXPECT_EQ(done->mean_rate, reference.mean_rate);
     ASSERT_EQ(sliced_trace.beats().size(), one_shot_trace.beats().size());
+    // The run's mean rate is the in-order mean of the window-rate
+    // series an attached recorder sees.
+    double rate_sum = 0.0;
+    for (const BeatTrace &beat : one_shot_trace.beats())
+        rate_sum += beat.window_rate;
+    ASSERT_GT(reference.beat_count, 0u);
+    EXPECT_EQ(reference.mean_rate,
+              rate_sum / static_cast<double>(reference.beat_count));
     for (std::size_t i = 0; i < sliced_trace.beats().size(); ++i) {
         const BeatTrace &a = sliced_trace.beats()[i];
         const BeatTrace &b = one_shot_trace.beats()[i];

@@ -1,6 +1,7 @@
 /** @file Unit tests for the workload generators. */
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -600,6 +601,28 @@ TEST(PoissonArrivals, DeviateEdgeCases)
     EXPECT_THROW(poissonDeviate(rng, -1.0), std::invalid_argument);
     EXPECT_THROW(makePoissonArrivals({0.5}, {-1.0, 1}),
                  std::invalid_argument);
+}
+
+TEST(PoissonArrivals, NonFiniteMeansThrow)
+{
+    // A NaN mean used to draw 0 arrivals silently, and +inf reached an
+    // undefined double-to-size_t conversion in the Gaussian branch.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Rng rng(7);
+    for (const double lambda : {nan, inf, -inf})
+        EXPECT_THROW(poissonDeviate(rng, lambda), std::invalid_argument)
+            << lambda;
+    // Through the trace generator: a non-finite trace level or peak
+    // rate makes a non-finite per-step mean.
+    for (const double level : {nan, inf, -inf})
+        EXPECT_THROW(makePoissonArrivals({0.5, level}, {10.0, 1}),
+                     std::invalid_argument)
+            << level;
+    for (const double peak : {nan, inf})
+        EXPECT_THROW(makePoissonArrivals({0.5}, {peak, 1}),
+                     std::invalid_argument)
+            << peak;
 }
 
 TEST(PoissonArrivals, LargeMeansUseTheNormalApproximation)
